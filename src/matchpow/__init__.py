@@ -11,13 +11,10 @@ from .betti import (
     FIELD_GF2,
     FIELD_RATIONALS,
     GeneratorCapError,
-    SimplicialComplex,
     betti_numbers,
     has_linear_resolution,
     is_linearly_related,
-    koszul_complex,
     lcm_lattice,
-    reduced_homology_ranks,
     regularity,
 )
 from .classify import (

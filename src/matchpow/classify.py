@@ -19,7 +19,10 @@ from typing import Optional, Union
 from .exchange import is_polymatroidal
 from .graphs import (
     DistantConfig,
+    IsolatedEdge,
     WeightedOrientedGraph,
+    _find_distant,
+    _matching_number_forest,
     enumerate_matchings,
     find_distant_configuration,
     is_forest,
@@ -121,10 +124,6 @@ class ClassificationCertificate:
     trace: TraceNode
 
 
-def _leaf_sets(D: WeightedOrientedGraph) -> dict[int, bool]:
-    return {v: D.degree(v) == 1 for v in D.vertices}
-
-
 def _validate_config(D: WeightedOrientedGraph, config: DistantConfig) -> bool:
     """The configuration lists every leaf neighbour of the centre except a
     possibly-promoted anchor, and the centre has no second non-leaf neighbour."""
@@ -133,8 +132,7 @@ def _validate_config(D: WeightedOrientedGraph, config: DistantConfig) -> bool:
     nbrs = set(D.adjacency[config.center])
     if config.anchor not in nbrs:
         return False
-    is_leaf = _leaf_sets(D)
-    leaf_nbrs = {u for u in nbrs if is_leaf[u]}
+    leaf_nbrs = {u for u in nbrs if D.degree(u) == 1}
     if set(config.leaves) != leaf_nbrs - {config.anchor}:
         return False
     if not config.leaves:
@@ -197,29 +195,6 @@ def classify_last_power(D: WeightedOrientedGraph) -> ClassificationCertificate:
 # information), which also lets distinct deletion paths share memo entries.
 
 
-def _nu_forest(edges: tuple[tuple[int, int], ...]) -> int:
-    """Matching number of a forest given by its edges, by leaf pruning."""
-    adj: dict[int, set[int]] = {}
-    for t, h in edges:
-        adj.setdefault(t, set()).add(h)
-        adj.setdefault(h, set()).add(t)
-    count = 0
-    leaves = [v for v, nbrs in adj.items() if len(nbrs) == 1]
-    while leaves:
-        v = leaves.pop()
-        if v not in adj or len(adj[v]) != 1:
-            continue
-        (u,) = adj[v]
-        count += 1
-        for w in (v, u):
-            for x in adj.pop(w, ()):
-                if x in adj:
-                    adj[x].discard(w)
-                    if len(adj[x]) == 1:
-                        leaves.append(x)
-    return count
-
-
 def _classify(
     n: int,
     edges: tuple[tuple[int, int], ...],
@@ -251,7 +226,7 @@ def _classify_uncached(
     # non-sources are exactly the heads of surviving edges
     if all(weights[h - 1] == 1 for _, h in edges):
         return ClassificationCertificate(True, UnweightedBaseNode())
-    nu = _nu_forest(edges)
+    nu = _matching_number_forest(edges)
     if nu == 1:
         gens = []
         for t, h in edges:
@@ -263,44 +238,21 @@ def _classify_uncached(
         ok = is_polymatroidal(MonomialIdeal(n, tuple(gens)))
         return ClassificationCertificate(ok, NuOneBaseNode(ok))
 
-    adj: dict[int, list[int]] = {}
-    for t, h in edges:
-        adj.setdefault(t, []).append(h)
-        adj.setdefault(h, []).append(t)
-    deg = {v: len(nbrs) for v, nbrs in adj.items()}
-    isolated = sorted(
-        (min(t, h), max(t, h)) for t, h in edges if deg[t] == 1 and deg[h] == 1
-    )
-    if isolated:
-        a, b = isolated[0]
+    config = _find_distant(edges)
+    if isinstance(config, IsolatedEdge):
+        a, b = config.a, config.b
         sub = _drop(edges, (a, b))
-        assert _nu_forest(sub) == nu - 1
+        assert _matching_number_forest(sub) == nu - 1
         child = _classify(n, sub, weights, memo)
         return ClassificationCertificate(child.verdict, IsolatedEdgeNode((a, b), child))
-
-    config = None
-    for b in sorted(adj):
-        leaf_nbrs = sorted(u for u in adj[b] if deg[u] == 1)
-        if not leaf_nbrs:
-            continue
-        non_leaf = [u for u in adj[b] if deg[u] > 1]
-        if len(non_leaf) > 1:
-            continue
-        if non_leaf:
-            config = DistantConfig(tuple(leaf_nbrs), b, non_leaf[0])
-        else:
-            config = DistantConfig(tuple(leaf_nbrs[:-1]), b, leaf_nbrs[-1])
-        break
-    if config is None:
-        raise ValueError("graph has edges but no distant configuration (not a forest?)")
 
     b, c = config.center, config.anchor
     if config.t == 1:
         a0 = config.leaves[0]
         pruned = tuple(e for e in edges if e not in ((a0, b), (b, a0)))
-        if _nu_forest(pruned) == nu - 1:  # the pendant edge is strong
+        if _matching_number_forest(pruned) == nu - 1:  # the pendant edge is strong
             sub = _drop(edges, (a0, b))
-            assert _nu_forest(sub) == nu - 1
+            assert _matching_number_forest(sub) == nu - 1
             child = _classify(n, sub, weights, memo)
             return ClassificationCertificate(child.verdict, StrongEdgeNode(config, child))
 
@@ -310,7 +262,7 @@ def _classify_uncached(
             return ClassificationCertificate(False, RefutedNode("leaf_weight", (a,)))
 
     sub_b = _drop(edges, (b,))
-    assert _nu_forest(sub_b) == nu - 1
+    assert _matching_number_forest(sub_b) == nu - 1
     child_b = _classify(n, sub_b, weights, memo)
     if not child_b.verdict:
         return ClassificationCertificate(
@@ -319,7 +271,7 @@ def _classify_uncached(
 
     edge_set = set(edges)
     deltas = {weights[b - 1] if (a, b) in edge_set else 1 for a in config.leaves}
-    if _nu_forest(_drop(edges, (b, c))) < nu - 1:
+    if _matching_number_forest(_drop(edges, (b, c))) < nu - 1:
         # star case: the power without centre and anchor vanishes
         if len(deltas) > 1:
             return ClassificationCertificate(
@@ -341,7 +293,7 @@ def _classify_uncached(
     if (c, b) not in edge_set and weights[b - 1] != 1:
         return ClassificationCertificate(False, RefutedNode("bridge_shape", (b, c)))
     sub_bc = _drop(edges, (b, c))
-    assert _nu_forest(sub_bc) == nu - 1
+    assert _matching_number_forest(sub_bc) == nu - 1
     child_bc = _classify(n, sub_bc, weights, memo)
     if not child_bc.verdict:
         return ClassificationCertificate(

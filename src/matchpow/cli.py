@@ -165,9 +165,7 @@ def _cmd_verify(args) -> int:
             summary = verify_thm11_exhaustive(args.max_n or 7, args.workers)
             reports = []
         else:
-            summary = verify_thm11_random(
-                args.trials or 500, args.max_n or 9, args.seed, args.workers
-            )
+            summary = verify_thm11_random(args.trials or 500, args.max_n or 9, args.seed)
             reports = summary.pop("reports", [])
         _write_reports(args.out, reports)
         _emit(summary)
@@ -276,18 +274,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            if args.workers is None and "workers" in config:
+                args.workers = int(config["workers"])
+        except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        if args.workers is None and "workers" in config:
-            args.workers = int(config["workers"])
     try:
         return args.fn(args)
-    except GeneratorCapError as exc:
+    except (GeneratorCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RecursionError, MemoryError) as exc:
+        # an uncaught exception exits 1, which reads as a negative verdict
+        print(f"error: input too large ({exc!r})", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 __all__ = [
     "WeightedOrientedGraph",
@@ -23,8 +23,6 @@ __all__ = [
     "matching_number",
     "is_strong_edge",
     "find_distant_configuration",
-    "induced_subgraph",
-    "delete_vertices",
 ]
 
 
@@ -157,7 +155,7 @@ class WeightedOrientedGraph:
         if not self.underlying_edges:
             return 0
         if self._is_forest:
-            return _matching_number_forest(self)
+            return _matching_number_forest(self.underlying_edges)
         return _matching_number_search(self)
 
     def name_of(self, v: int) -> str:
@@ -200,17 +198,47 @@ class WeightedOrientedGraph:
         return self.induced(v for v in self.vertices if v not in drop_set)
 
 
-def induced_subgraph(D: WeightedOrientedGraph, keep: Iterable[int]) -> WeightedOrientedGraph:
-    return D.induced(keep)
-
-
-def delete_vertices(D: WeightedOrientedGraph, drop: Iterable[int]) -> WeightedOrientedGraph:
-    return D.delete(drop)
-
-
 def is_forest(D: WeightedOrientedGraph) -> bool:
     """True iff the underlying simple graph is acyclic (union-find scan)."""
     return D._is_forest
+
+
+def _matchings(
+    edges: tuple[tuple[int, int], ...], size: Optional[int] = None
+) -> Iterator[tuple[int, ...]]:
+    """Matchings as edge-index tuples, lazily, in depth-first (lexicographic
+    index) order: every matching when ``size`` is None, else only those of
+    that size, cutting branches that can no longer reach it."""
+    if size is None or size == 0:
+        yield ()
+    if size == 0:
+        return
+    m = len(edges)
+    chosen: list[int] = []
+    used: set[int] = set()
+    idx = 0
+    while True:
+        if idx < m and (size is None or len(chosen) + m - idx >= size):
+            a, b = edges[idx]
+            idx += 1
+            if a in used or b in used:
+                continue
+            chosen.append(idx - 1)
+            if size is None or len(chosen) == size:
+                yield tuple(chosen)
+            if size is None or len(chosen) < size:
+                used.add(a)
+                used.add(b)
+            else:
+                chosen.pop()
+        elif chosen:
+            idx = chosen.pop()
+            a, b = edges[idx]
+            used.discard(a)
+            used.discard(b)
+            idx += 1
+        else:
+            return
 
 
 def enumerate_matchings(D: WeightedOrientedGraph, k: int) -> list[Matching]:
@@ -221,36 +249,16 @@ def enumerate_matchings(D: WeightedOrientedGraph, k: int) -> list[Matching]:
     if k < 0:
         raise ValueError("k must be >= 0")
     edges = D.underlying_edges
-    out: list[Matching] = []
-    chosen: list[tuple[int, int]] = []
-    used: set[int] = set()
-
-    def rec(start: int) -> None:
-        if len(chosen) == k:
-            out.append(Matching(tuple(chosen)))
-            return
-        # not enough edges left to reach size k
-        if len(chosen) + (len(edges) - start) < k:
-            return
-        for idx in range(start, len(edges)):
-            a, b = edges[idx]
-            if a in used or b in used:
-                continue
-            chosen.append((a, b))
-            used.add(a)
-            used.add(b)
-            rec(idx + 1)
-            chosen.pop()
-            used.discard(a)
-            used.discard(b)
-
-    rec(0)
-    return out
+    return [Matching(tuple(edges[i] for i in m)) for m in _matchings(edges, k)]
 
 
-def _matching_number_forest(D: WeightedOrientedGraph) -> int:
-    """Leaf pruning: repeatedly match a leaf edge and drop both endpoints."""
-    adj = {v: set(nbrs) for v, nbrs in D.adjacency.items()}
+def _matching_number_forest(edges: tuple[tuple[int, int], ...]) -> int:
+    """Matching number of a forest given by its edges, by leaf pruning:
+    repeatedly match a leaf edge and drop both endpoints."""
+    adj: dict[int, set[int]] = {}
+    for t, h in edges:
+        adj.setdefault(t, set()).add(h)
+        adj.setdefault(h, set()).add(t)
     count = 0
     leaves = [v for v, nbrs in adj.items() if len(nbrs) == 1]
     while leaves:
@@ -403,6 +411,33 @@ NO_EDGES = _NoEdges()
 FindResult = Union[IsolatedEdge, DistantConfig, _NoEdges]
 
 
+def _find_distant(edges: tuple[tuple[int, int], ...]) -> FindResult:
+    """:func:`find_distant_configuration` on a forest given by its edges
+    (either orientation)."""
+    if not edges:
+        return NO_EDGES
+    adj: dict[int, list[int]] = {}
+    for t, h in edges:
+        adj.setdefault(t, []).append(h)
+        adj.setdefault(h, []).append(t)
+    deg = {v: len(nbrs) for v, nbrs in adj.items()}
+    isolated = [(min(t, h), max(t, h)) for t, h in edges if deg[t] == 1 and deg[h] == 1]
+    if isolated:
+        a, b = min(isolated)
+        return IsolatedEdge(a, b)
+    for b in sorted(adj):
+        leaf_nbrs = sorted(u for u in adj[b] if deg[u] == 1)
+        if not leaf_nbrs:
+            continue
+        non_leaf = [u for u in adj[b] if deg[u] > 1]
+        if len(non_leaf) > 1:
+            continue
+        if non_leaf:
+            return DistantConfig(tuple(leaf_nbrs), b, non_leaf[0])
+        return DistantConfig(tuple(leaf_nbrs[:-1]), b, leaf_nbrs[-1])
+    raise ValueError("graph has edges but no distant configuration (not a forest?)")
+
+
 def find_distant_configuration(D: WeightedOrientedGraph) -> FindResult:
     """Deterministic choice of an isolated edge or a distant configuration.
 
@@ -413,23 +448,4 @@ def find_distant_configuration(D: WeightedOrientedGraph) -> FindResult:
     anchor.  Raises if the graph has edges but no such structure (only happens
     off forests).
     """
-    if not D.underlying_edges:
-        return NO_EDGES
-    deg = {v: D.degree(v) for v in D.vertices}
-    is_leaf = {v: deg[v] == 1 for v in D.vertices}
-    isolated = [e for e in D.underlying_edges if is_leaf[e[0]] and is_leaf[e[1]]]
-    if isolated:
-        a, b = min(isolated)
-        return IsolatedEdge(a, b)
-    for b in D.vertices:
-        nbrs = D.adjacency[b]
-        leaf_nbrs = [u for u in nbrs if is_leaf[u]]
-        if not leaf_nbrs:
-            continue
-        non_leaf = [u for u in nbrs if not is_leaf[u]]
-        if len(non_leaf) > 1:
-            continue
-        if non_leaf:
-            return DistantConfig(tuple(leaf_nbrs), b, non_leaf[0])
-        return DistantConfig(tuple(leaf_nbrs[:-1]), b, leaf_nbrs[-1])
-    raise ValueError("graph has edges but no distant configuration (not a forest?)")
+    return _find_distant(D.underlying_edges)

@@ -32,9 +32,9 @@ from .generate import (
     forest_edge_sets,
     random_simple_graph,
 )
-from .graphs import WeightedOrientedGraph, is_strong_edge, matching_number
+from .graphs import WeightedOrientedGraph, _matchings, is_strong_edge, matching_number
 from .monomials import Monomial, MonomialIdeal
-from .powers import matching_power_from_matchings
+from .powers import _matching_products, matching_power_from_matchings
 from .serialize import graph_to_doc
 
 __all__ = [
@@ -59,6 +59,10 @@ class OracleCaps:
 
     betti_max_generators: int = DEFAULT_GENERATOR_CAP
     exchange_max_pairs: int = 4000
+
+    def runs(self, g: int) -> tuple[bool, bool]:
+        """Whether the exchange check and the Betti oracles run on g generators."""
+        return g * (g - 1) <= self.exchange_max_pairs, g <= self.betti_max_generators
 
 
 @dataclass
@@ -151,6 +155,13 @@ def _ideal_from_key(key: tuple) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(Monomial(g) for g in key))
 
 
+def _canonical(gens: tuple[tuple[int, ...], ...]) -> tuple:
+    key = _exact_keys.get(gens)
+    if key is None:
+        key = _exact_keys[gens] = _canonical_key(gens)
+    return key
+
+
 def _oracle_abc(
     gens: tuple[tuple[int, ...], ...], caps: OracleCaps
 ) -> tuple[Optional[bool], Optional[bool], Optional[bool]]:
@@ -158,40 +169,33 @@ def _oracle_abc(
     if len({sum(g) for g in gens}) > 1:
         # mixed generation degrees: all three predicates are False outright
         return (False, False, False)
-    key = _exact_keys.get(gens)
-    if key is None:
-        key = _canonical_key(gens)
-        _exact_keys[gens] = key
-    hit = _verdict_cache.get(key)
+    key = _canonical(gens)
+    # the caps decide which verdicts are computed, so they are part of the key
+    run_b, run_ac = caps.runs(len(key))
+    slot = (key, run_b, run_ac)
+    hit = _verdict_cache.get(slot)
     if hit is not None:
         return hit
     I = _ideal_from_key(key)
-    g = len(key)
-    if g * (g - 1) <= caps.exchange_max_pairs:
-        b = is_polymatroidal(I)
-    else:
-        b = None
-    if g <= caps.betti_max_generators:
+    b = is_polymatroidal(I) if run_b else None
+    if run_ac:
         a = is_linearly_related(I)
         c = has_linear_resolution(I)
     else:
         a = c = None
     result = (a, b, c)
-    _verdict_cache[key] = result
+    _verdict_cache[slot] = result
     return result
 
 
 def _oracle_linrel(gens: tuple[tuple[int, ...], ...], caps: OracleCaps) -> Optional[bool]:
     if len({sum(g) for g in gens}) > 1:
         return False
-    key = _exact_keys.get(gens)
-    if key is None:
-        key = _canonical_key(gens)
-        _exact_keys[gens] = key
+    key = _canonical(gens)
+    if not caps.runs(len(key))[1]:
+        return None
     hit = _linrel_cache.get(key)
     if hit is None:
-        if len(key) > caps.betti_max_generators:
-            return None
         hit = is_linearly_related(_ideal_from_key(key))
         _linrel_cache[key] = hit
     return hit
@@ -234,9 +238,9 @@ def cross_validate(
     I = matching_power_from_matchings(D, nu)
     timings["power"] = time.perf_counter() - t0
 
-    g = len(I.gens)
+    run_b, run_ac = caps.runs(len(I.gens))
     t0 = time.perf_counter()
-    if g * (g - 1) <= caps.exchange_max_pairs:
+    if run_b:
         verdicts["polymatroidal"] = is_polymatroidal(I)
     else:
         verdicts["polymatroidal"] = None
@@ -244,7 +248,7 @@ def cross_validate(
     timings["polymatroidal"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if g <= caps.betti_max_generators:
+    if run_ac:
         verdicts["linearly_related"] = is_linearly_related(I)
         verdicts["linear_resolution"] = has_linear_resolution(I)
     else:
@@ -306,6 +310,12 @@ def _max_matching_supports(n: int, edges: list[tuple[int, int]]) -> tuple[int, s
     return best // 2, supports
 
 
+def _support_ideal(n: int, supports: set[int]) -> MonomialIdeal:
+    """The squarefree ideal whose generators are the given vertex masks."""
+    gens = sorted(tuple(1 if s >> i & 1 else 0 for i in range(n)) for s in supports)
+    return MonomialIdeal(n, tuple(Monomial(g) for g in gens))
+
+
 def _thm11_chunk(args: tuple[int, int, int]) -> tuple[int, list[dict[str, Any]]]:
     n, lo, hi = args
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
@@ -321,11 +331,7 @@ def _thm11_chunk(args: tuple[int, int, int]) -> tuple[int, list[dict[str, Any]]]
             m ^= bit
             edges.append(pairs[bit.bit_length() - 1])
         _, supports = _max_matching_supports(n, edges)
-        gens = tuple(
-            sorted(tuple(1 if s >> i & 1 else 0 for i in range(n)) for s in supports)
-        )
-        I = MonomialIdeal(n, tuple(Monomial(g) for g in gens))
-        if not is_polymatroidal(I):
+        if not is_polymatroidal(_support_ideal(n, supports)):
             failures.append({"n": n, "edges": edges})
         checked += 1
     return checked, failures
@@ -353,15 +359,12 @@ def verify_thm11_exhaustive(max_n: int = 7, workers: Optional[int] = None) -> di
     }
 
 
-def verify_thm11_random(
-    trials: int = 500, max_n: int = 9, seed: int = 42, workers: Optional[int] = None
-) -> dict[str, Any]:
+def verify_thm11_random(trials: int = 500, max_n: int = 9, seed: int = 42) -> dict[str, Any]:
     """Exchange property of the last power on seeded random graphs.
 
     Edgeless draws are redrawn on the same stream so every trial carries at
     least one edge; edge probability alternates over {0.2, 0.4} by draw.
     """
-    del workers  # cheap enough inline; kept for CLI symmetry
     started = time.perf_counter()
     rng = SplitMix64(seed)
     failures: list[dict[str, Any]] = []
@@ -374,12 +377,9 @@ def verify_thm11_random(
             if G.underlying_edges:
                 break
         nu, supports = _max_matching_supports(n, list(G.underlying_edges))
-        gens = tuple(
-            sorted(tuple(1 if s >> i & 1 else 0 for i in range(n)) for s in supports)
-        )
-        ok = is_polymatroidal(MonomialIdeal(n, tuple(Monomial(g) for g in gens)))
+        ok = is_polymatroidal(_support_ideal(n, supports))
         reports.append(
-            {"index": idx, "n": n, "p": p, "nu": nu, "generators": len(gens), "ok": ok}
+            {"index": idx, "n": n, "p": p, "nu": nu, "generators": len(supports), "ok": ok}
         )
         if not ok:
             failures.append({"index": idx, "edges": list(G.underlying_edges)})
@@ -397,50 +397,6 @@ def verify_thm11_random(
 # ---------------------------------------------------------------------------
 # forest classification equivalence (thm34)
 # ---------------------------------------------------------------------------
-
-
-def _matchings_by_size(edges: tuple[tuple[int, int], ...]) -> list[list[tuple[int, ...]]]:
-    """Matchings as edge-index tuples, grouped by size; index k holds the
-    k-matchings.  The outer list stops at the matching number."""
-    by_size: list[list[tuple[int, ...]]] = [[()]]
-    chosen: list[int] = []
-    used: set[int] = set()
-
-    def rec(start: int) -> None:
-        for idx in range(start, len(edges)):
-            a, b = edges[idx]
-            if a in used or b in used:
-                continue
-            chosen.append(idx)
-            used.add(a)
-            used.add(b)
-            if len(chosen) >= len(by_size):
-                by_size.append([])
-            by_size[len(chosen)].append(tuple(chosen))
-            rec(idx + 1)
-            chosen.pop()
-            used.discard(a)
-            used.discard(b)
-
-    rec(0)
-    return by_size
-
-
-def _power_gens(
-    n: int,
-    directed: list[tuple[int, int]],
-    weights: list[int],
-    matchings: list[tuple[int, ...]],
-) -> tuple[tuple[int, ...], ...]:
-    out = set()
-    for m in matchings:
-        exps = [0] * n
-        for ei in m:
-            t, h = directed[ei]
-            exps[t - 1] += 1
-            exps[h - 1] += weights[h]
-        out.add(tuple(exps))
-    return tuple(sorted(out))
 
 
 def _agg_zero() -> dict[str, Any]:
@@ -463,7 +419,11 @@ def _thm34_forest_task(args: tuple[int, tuple, int, int, int]) -> dict[str, Any]
     n, underlying, w_max, betti_cap, exch_cap = args
     caps = OracleCaps(betti_cap, exch_cap)
     agg = _agg_zero()
-    by_size = _matchings_by_size(underlying)
+    by_size: list[list[tuple[int, ...]]] = [[]]
+    for mt in _matchings(underlying):
+        if len(mt) == len(by_size):
+            by_size.append([])
+        by_size[len(mt)].append(mt)
     nu = len(by_size) - 1
     if nu < 2:
         return agg
@@ -482,7 +442,9 @@ def _thm34_forest_task(args: tuple[int, tuple, int, int, int]) -> dict[str, Any]
                 continue  # unweighted: the edge ideal equals the plain one
             for h, w in zip(heads, combo):
                 weights[h] = w
-            gens_nu = _power_gens(n, directed, weights, by_size[nu])
+            # one product divides another only on equal supports, and a forest
+            # has at most one perfect matching on a vertex set: no minimalizing
+            gens_nu = tuple(sorted(_matching_products(n, directed, weights, by_size[nu])))
             a, b, c = _oracle_abc(gens_nu, caps)
             if a is None or c is None or b is None:
                 agg["skipped_oracle"] += 1
@@ -509,7 +471,7 @@ def _thm34_forest_task(args: tuple[int, tuple, int, int, int]) -> dict[str, Any]
                 if not _constant_degree_ok(gens_nu):
                     agg["constant_degree_violations"].append({"graph": graph_to_doc(D)})
             for k in range(1, nu):
-                gens_k = _power_gens(n, directed, weights, by_size[k])
+                gens_k = tuple(sorted(_matching_products(n, directed, weights, by_size[k])))
                 lr = _oracle_linrel(gens_k, caps)
                 agg["low_power_checked"] += 1
                 if lr is None:

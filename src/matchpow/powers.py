@@ -9,7 +9,9 @@ graph (two routes that the test suite checks against each other).
 
 from __future__ import annotations
 
-from .graphs import Matching, WeightedOrientedGraph, enumerate_matchings
+from collections.abc import Iterable
+
+from .graphs import Matching, WeightedOrientedGraph, _matchings
 from .monomials import Monomial, MonomialIdeal, minimalize
 
 __all__ = [
@@ -57,20 +59,7 @@ def matching_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     if I.is_unit():
         return MonomialIdeal.unit(I.n)
     gens = I.gens
-    masks = []
-    for g in gens:
-        m = 0
-        for i, e in enumerate(g.exponents):
-            if e:
-                m |= 1 << i
-        masks.append(m)
-    # cliques of the disjointness graph on generators, found by candidate-set
-    # intersection rather than scanning all k-subsets
-    compat = [0] * len(gens)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not masks[i] & masks[j]:
-                compat[i] |= 1 << j
+    compat = _disjointness(gens)
     products: list[Monomial] = []
     exps = [0] * I.n
 
@@ -97,30 +86,10 @@ def matching_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     return minimalize(products, I.n)
 
 
-def matching_power_from_matchings(D: WeightedOrientedGraph, k: int) -> MonomialIdeal:
-    """Matching power of the edge ideal built directly from k-matchings."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return MonomialIdeal.unit(D.n)
-    products = []
-    for m in enumerate_matchings(D, k):
-        exps = [0] * D.n
-        for a, b in m.edges:
-            t, h = D.orientation(a, b)
-            exps[t - 1] += 1
-            exps[h - 1] += D.weight(h)
-        products.append(Monomial(tuple(exps)))
-    return minimalize(products, D.n)
-
-
-def monomial_grade(I: MonomialIdeal) -> int:
-    """Largest k with a k-subset of generators having pairwise disjoint supports."""
-    if I.is_zero():
-        raise ValueError("the zero ideal has no monomial grade")
-    if I.is_unit():
-        raise ValueError("the unit ideal has unbounded monomial grade")
-    gens = I.gens
+def _disjointness(gens: tuple[Monomial, ...]) -> list[int]:
+    """Bit j of entry i is set when j > i and generators i, j have disjoint
+    supports.  Matching products are the cliques of this graph, found by
+    candidate-set intersection rather than by scanning all k-subsets."""
     masks = []
     for g in gens:
         m = 0
@@ -133,6 +102,54 @@ def monomial_grade(I: MonomialIdeal) -> int:
         for j in range(i + 1, len(gens)):
             if not masks[i] & masks[j]:
                 compat[i] |= 1 << j
+    return compat
+
+
+def _matching_products(
+    n: int,
+    directed: list[tuple[int, int]],
+    weights: list[int],
+    matchings: Iterable[tuple[int, ...]],
+) -> set[tuple[int, ...]]:
+    """Exponent vectors of the edge-monomial products of the given matchings.
+
+    ``directed[i]`` is the (tail, head) form of edge i and ``weights[v]`` the
+    weight of vertex v (index 0 unused).
+    """
+    out = set()
+    for m in matchings:
+        exps = [0] * n
+        for ei in m:
+            t, h = directed[ei]
+            exps[t - 1] += 1
+            exps[h - 1] += weights[h]
+        out.add(tuple(exps))
+    return out
+
+
+def matching_power_from_matchings(D: WeightedOrientedGraph, k: int) -> MonomialIdeal:
+    """Matching power of the edge ideal built directly from k-matchings.
+
+    Off forests one product can divide another, so the products are
+    minimalized.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return MonomialIdeal.unit(D.n)
+    edges = D.underlying_edges
+    directed = [D.orientation(a, b) for a, b in edges]
+    products = _matching_products(D.n, directed, [1, *D.weights], _matchings(edges, k))
+    return minimalize((Monomial(e) for e in products), D.n)
+
+
+def monomial_grade(I: MonomialIdeal) -> int:
+    """Largest k with a k-subset of generators having pairwise disjoint supports."""
+    if I.is_zero():
+        raise ValueError("the zero ideal has no monomial grade")
+    if I.is_unit():
+        raise ValueError("the unit ideal has unbounded monomial grade")
+    compat = _disjointness(I.gens)
 
     best = 0
 
@@ -148,7 +165,7 @@ def monomial_grade(I: MonomialIdeal) -> int:
             i = bit.bit_length() - 1
             extend(cands & compat[i], depth + 1)
 
-    extend((1 << len(gens)) - 1, 0)
+    extend((1 << len(compat)) - 1, 0)
     return best
 
 
@@ -160,30 +177,17 @@ def decompose_generator(D: WeightedOrientedGraph, u: Monomial, k: int) -> Matchi
     """
     if u.n != D.n:
         raise ValueError("ambient variable counts differ")
+    # matched edges have disjoint supports, so an edge fits into u exactly when
+    # its monomial agrees with u on both of its endpoints; a k-matching of such
+    # edges then multiplies to u iff it covers all of supp(u)
     edges = D.underlying_edges
-    monomials = [edge_monomial(D, e).exponents for e in edges]
-    remaining = list(u.exponents)
-    chosen: list[tuple[int, int]] = []
+    fits = [
+        i
+        for i, e in enumerate(edges)
+        if all(edge_monomial(D, e).exponents[v - 1] == u.exponents[v - 1] for v in e)
+    ]
+    if 2 * k == sum(1 for e in u.exponents if e):
+        for m in _matchings(tuple(edges[i] for i in fits), k):
+            return Matching(tuple(edges[fits[i]] for i in m))
+    raise ValueError(f"{u} has no decomposition into {k} disjoint edge monomials")
 
-    def rec(start: int) -> bool:
-        if len(chosen) == k:
-            return not any(remaining)
-        for idx in range(start, len(edges)):
-            m = monomials[idx]
-            if all(r >= e for r, e in zip(remaining, m)):
-                a, b = edges[idx]
-                if any(a in e or b in e for e in chosen):
-                    continue
-                chosen.append(edges[idx])
-                for p, e in enumerate(m):
-                    remaining[p] -= e
-                if rec(idx + 1):
-                    return True
-                chosen.pop()
-                for p, e in enumerate(m):
-                    remaining[p] += e
-        return False
-
-    if not rec(0):
-        raise ValueError(f"{u} has no decomposition into {k} disjoint edge monomials")
-    return Matching(tuple(sorted(chosen)))

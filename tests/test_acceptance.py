@@ -75,7 +75,7 @@ def test_criterion_1_exchange_property_exhaustive_n7():
 
 
 def test_criterion_2_exchange_property_randomized():
-    summary = verify_thm11_random(trials=500, max_n=9, seed=42, workers=_WORKERS)
+    summary = verify_thm11_random(trials=500, max_n=9, seed=42)
     ok = summary["failures"] == [] and len(summary["reports"]) == 500
     ok = ok and summary["elapsed_s"] < 300
     if summary["failures"]:

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import seven_vertex_example, path_graph
 from matchpow import WeightedOrientedGraph
+from matchpow import cli
 from matchpow.cli import main
 from matchpow.serialize import save_graph, save_ideal, load_ideal
 from matchpow import Monomial, MonomialIdeal
@@ -158,6 +159,27 @@ def test_config_file_supplies_workers(tmp_path, capsys):
     )
     capsys.readouterr()
     assert main(["--config", str(tmp_path / "nope.json"), "classify", "x"]) == 2
+
+
+def test_crash_exits_2_not_1(seven_vertex_file, monkeypatch, capsys):
+    def too_deep(D):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "classify_last_power", too_deep)
+    assert main(["classify", seven_vertex_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_malformed_config_value_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    args = ["--config", str(config), "verify", "lemma31", "--max-n", "3"]
+    # a non-numeric count, a count that overflows int(), nesting past the parser's depth
+    for text in ('{"workers": "x"}', '{"workers": 1e400}', "[" * 100_000 + "]" * 100_000):
+        config.write_text(text)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_entrypoint_subprocess(seven_vertex_file):

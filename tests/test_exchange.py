@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +135,15 @@ def test_witness_walk_p7():
     u = m(1, 1, 1, 1, 1, 1, 0)
     v = m(0, 1, 1, 1, 1, 1, 1)
     assert exchange_witness_last_power(P7, u, v, 1) == 7
+
+
+def test_witness_walk_on_a_forty_one_vertex_path():
+    P41 = path_graph(41)
+    u = m(*[1] * 40, 0)
+    v = m(0, *[1] * 40)
+    started = time.perf_counter()
+    assert exchange_witness_last_power(P41, u, v, 1) == 41
+    assert time.perf_counter() - started < 1.0
 
 
 def test_witness_rejects_bad_inputs():

@@ -103,7 +103,7 @@ def test_forest_fast_path_agrees_with_search_on_500_random_forests():
     for _ in range(500):
         n = rng.randint(2, 20)
         D = build_random_forest(n, 1, rng)
-        assert _matching_number_forest(D) == _matching_number_search(D)
+        assert _matching_number_forest(D.underlying_edges) == _matching_number_search(D)
 
 
 def test_matching_number_on_nonforest():

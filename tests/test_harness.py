@@ -2,6 +2,8 @@ from conftest import seven_vertex_example
 from matchpow import OracleCaps, WeightedOrientedGraph, cross_validate
 from matchpow.harness import (
     _canonical_key,
+    _oracle_abc,
+    _oracle_linrel,
     _max_matching_supports,
     verify_lemma22,
     verify_lemma31,
@@ -28,6 +30,17 @@ def test_canonical_key_is_relabelling_invariant():
     # projection drops unused columns
     padded = tuple(sorted(g + (0, 0) for g in gens))
     assert _canonical_key(gens) == _canonical_key(padded)
+
+
+def test_oracle_cache_does_not_leak_across_caps():
+    p4 = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1))
+    tight = OracleCaps(betti_max_generators=1)
+    # either order must give each caps its own answer
+    assert _oracle_abc(p4, tight) == (None, False, None)
+    assert _oracle_abc(p4, OracleCaps()) == (True, False, True)
+    assert _oracle_abc(p4, tight) == (None, False, None)
+    assert _oracle_linrel(p4, OracleCaps()) is True
+    assert _oracle_linrel(p4, tight) is None
 
 
 def test_max_matching_supports_p4():

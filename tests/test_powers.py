@@ -213,6 +213,12 @@ def test_decompose_generator_examples():
     assert got == Matching(((1, 3), (2, 5), (4, 6)))
     lone = path_graph(2)
     assert decompose_generator(lone, m(1, 1), 1) == Matching(((1, 2),))
+    # P_40 has F(41) > 10^8 matchings; the search must not list them
+    P40 = path_graph(40)
+    u = m(*[1] * 40)
+    assert decompose_generator(P40, u, 20) == Matching(tuple((i, i + 1) for i in range(1, 40, 2)))
+    with pytest.raises(ValueError):
+        decompose_generator(P40, u, 19)
 
 
 def test_decompose_generator_rejects_non_generators():
