@@ -227,7 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="decide polymatroidality of the last matching power")
     p.add_argument("graph")
     p.add_argument("--certificate", help="write the certificate document here")
-    p.add_argument("--verify", action="store_true", help="replay the certificate")
+    p.add_argument(
+        "--verify",
+        action="store_true",
+        help="replay the certificate (cost exponential in the matching number)",
+    )
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("power", help="compute a matching power of the edge ideal")

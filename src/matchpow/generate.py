@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Optional
 
-from .graphs import WeightedOrientedGraph, matching_number, maximum_matchings
+from .graphs import WeightedOrientedGraph, _Forest, matching_number
 
 __all__ = [
     "SplitMix64",
@@ -180,14 +180,9 @@ def _append_vertices(D: WeightedOrientedGraph, count: int) -> WeightedOrientedGr
 
 
 def _essential_vertices(D: WeightedOrientedGraph) -> list[int]:
-    """Vertices covered by every maximum matching."""
-    nu, matchings = maximum_matchings(D)
-    if nu == 0:
-        return []
-    covered = set(D.vertices)
-    for m in matchings:
-        covered &= m.vertices()
-    return sorted(covered)
+    """Vertices of a forest covered by every maximum matching."""
+    forest = _Forest(D.n, D.underlying_edges)
+    return [v for v in D.vertices if forest.covered(v)]
 
 
 def _grow_moves(

@@ -155,7 +155,7 @@ class WeightedOrientedGraph:
         if not self.underlying_edges:
             return 0
         if self._is_forest:
-            return _matching_number_forest(self.underlying_edges)
+            return _Forest(self.n, self.underlying_edges).nu
         return _matching_number_search(self)
 
     def name_of(self, v: int) -> str:
@@ -252,29 +252,105 @@ def enumerate_matchings(D: WeightedOrientedGraph, k: int) -> list[Matching]:
     return [Matching(tuple(edges[i] for i in m)) for m in _matchings(edges, k)]
 
 
-def _matching_number_forest(edges: tuple[tuple[int, int], ...]) -> int:
-    """Matching number of a forest given by its edges, by leaf pruning:
-    repeatedly match a leaf edge and drop both endpoints."""
-    adj: dict[int, set[int]] = {}
-    for t, h in edges:
-        adj.setdefault(t, set()).add(h)
-        adj.setdefault(h, set()).add(t)
-    count = 0
-    leaves = [v for v, nbrs in adj.items() if len(nbrs) == 1]
-    while leaves:
-        v = leaves.pop()
-        if v not in adj or len(adj[v]) != 1:
-            continue
-        (u,) = adj[v]
-        count += 1
-        for w in (v, u):
-            for x in adj.pop(w, ()):  # detach both endpoints
-                if x in adj:
-                    adj[x].discard(w)
-                    if len(adj[x]) == 1:
-                        leaves.append(x)
-    # all remaining components are edgeless (forest invariant)
-    return count
+class _Forest:
+    """One pass over a forest on labels 1..n given by its edges (either
+    orientation): vertex-indexed adjacency lists (None off the edges), the
+    leaves, and a maximum matching found by matching leaves to their
+    neighbours (``nu`` and the ``mate`` array, 0 for unmatched).
+    :meth:`covered` adds, on first use, an alternating search that marks every
+    vertex some maximum matching misses.  Apart from allocating the arrays,
+    the work is linear in the number of edges, not in n.
+    """
+
+    __slots__ = ("adj", "verts", "leaves", "mate", "nu", "_missed")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
+        adj: list[Optional[list[int]]] = [None] * (n + 1)
+        verts = []
+        for t, h in edges:
+            nbrs = adj[t]
+            if nbrs is None:
+                adj[t] = [h]
+                verts.append(t)
+            else:
+                nbrs.append(h)
+            nbrs = adj[h]
+            if nbrs is None:
+                adj[h] = [t]
+                verts.append(h)
+            else:
+                nbrs.append(t)
+        deg = [0] * (n + 1)  # unmatched neighbours left
+        for v in verts:
+            deg[v] = len(adj[v])
+        self.leaves = [v for v in verts if deg[v] == 1]
+        mate = [0] * (n + 1)
+        nu = 0
+        stack = self.leaves[:]
+        while stack:
+            v = stack.pop()
+            if mate[v] or not deg[v]:
+                continue
+            # a leaf of what is left: matching it to its last neighbour is
+            # part of some maximum matching of what is left
+            for u in adj[v]:
+                if not mate[u]:
+                    break
+            mate[v], mate[u] = u, v
+            nu += 1
+            for x in adj[u]:
+                if not mate[x]:
+                    deg[x] -= 1
+                    if deg[x] == 1:
+                        stack.append(x)
+        self.adj, self.verts, self.mate, self.nu = adj, verts, mate, nu
+        self._missed: Optional[list[bool]] = None
+
+    def covered(self, v: int) -> bool:
+        """True iff every maximum matching covers v.
+
+        A forest is bipartite, so (Gallai-Edmonds) some maximum matching
+        misses v exactly when an even alternating path from an exposed vertex
+        reaches v.
+        """
+        missed = self._missed
+        if missed is None:
+            adj, mate = self.adj, self.mate
+            missed = self._missed = [True] * len(mate)
+            todo = []
+            for u in self.verts:
+                if mate[u]:
+                    missed[u] = False
+                else:
+                    todo.append(u)
+            while todo:
+                for w in adj[todo.pop()]:
+                    x = mate[w]  # w is matched, or the matching is not maximum
+                    if not missed[x]:
+                        missed[x] = True
+                        todo.append(x)
+        return not missed[v]
+
+    def distant(self) -> "FindResult":
+        """:func:`find_distant_configuration` of this forest."""
+        adj = self.adj
+        if not self.verts:
+            return NO_EDGES
+        isolated = [
+            (min(a, adj[a][0]), max(a, adj[a][0])) for a in self.leaves if len(adj[adj[a][0]]) == 1
+        ]
+        if isolated:
+            a, b = min(isolated)
+            return IsolatedEdge(a, b)
+        for b in sorted({adj[a][0] for a in self.leaves}):
+            non_leaf = [u for u in adj[b] if len(adj[u]) > 1]
+            if len(non_leaf) > 1:
+                continue
+            leaf_nbrs = sorted(u for u in adj[b] if len(adj[u]) == 1)
+            if non_leaf:
+                return DistantConfig(tuple(leaf_nbrs), b, non_leaf[0])
+            return DistantConfig(tuple(leaf_nbrs[:-1]), b, leaf_nbrs[-1])
+        raise ValueError("graph has edges but no distant configuration (not a forest?)")
 
 
 def _mask_engine(D: WeightedOrientedGraph):
@@ -318,7 +394,7 @@ def _matching_number_search(D: WeightedOrientedGraph) -> int:
 
 
 def matching_number(D: WeightedOrientedGraph) -> int:
-    """Maximum matching size; leaf pruning on forests, exact search otherwise."""
+    """Maximum matching size; leaf matching on forests, exact search otherwise."""
     return D.nu
 
 
@@ -411,33 +487,6 @@ NO_EDGES = _NoEdges()
 FindResult = Union[IsolatedEdge, DistantConfig, _NoEdges]
 
 
-def _find_distant(edges: tuple[tuple[int, int], ...]) -> FindResult:
-    """:func:`find_distant_configuration` on a forest given by its edges
-    (either orientation)."""
-    if not edges:
-        return NO_EDGES
-    adj: dict[int, list[int]] = {}
-    for t, h in edges:
-        adj.setdefault(t, []).append(h)
-        adj.setdefault(h, []).append(t)
-    deg = {v: len(nbrs) for v, nbrs in adj.items()}
-    isolated = [(min(t, h), max(t, h)) for t, h in edges if deg[t] == 1 and deg[h] == 1]
-    if isolated:
-        a, b = min(isolated)
-        return IsolatedEdge(a, b)
-    for b in sorted(adj):
-        leaf_nbrs = sorted(u for u in adj[b] if deg[u] == 1)
-        if not leaf_nbrs:
-            continue
-        non_leaf = [u for u in adj[b] if deg[u] > 1]
-        if len(non_leaf) > 1:
-            continue
-        if non_leaf:
-            return DistantConfig(tuple(leaf_nbrs), b, non_leaf[0])
-        return DistantConfig(tuple(leaf_nbrs[:-1]), b, leaf_nbrs[-1])
-    raise ValueError("graph has edges but no distant configuration (not a forest?)")
-
-
 def find_distant_configuration(D: WeightedOrientedGraph) -> FindResult:
     """Deterministic choice of an isolated edge or a distant configuration.
 
@@ -448,4 +497,4 @@ def find_distant_configuration(D: WeightedOrientedGraph) -> FindResult:
     anchor.  Raises if the graph has edges but no such structure (only happens
     off forests).
     """
-    return _find_distant(D.underlying_edges)
+    return _Forest(D.n, D.underlying_edges).distant()

@@ -19,6 +19,7 @@ from matchpow import (
     strong_edge_criterion,
     verify_certificate,
 )
+from matchpow import classify
 from matchpow.classify import (
     ClassificationCertificate,
     IsolatedEdgeNode,
@@ -30,6 +31,7 @@ from matchpow.classify import (
     UnweightedBaseNode,
 )
 from matchpow.generate import SplitMix64, build_random_forest, enumerate_forests
+from matchpow.serialize import certificate_from_doc, certificate_to_doc
 
 
 def double_star(*, reversed_second_leaf: bool, center_weight: int = 2):
@@ -269,3 +271,45 @@ def test_exhaustive_tiny_forests_match_exchange_oracle():
         assert verify_certificate(D, cert)
         count += 1
     assert count > 100
+
+
+def test_two_thousand_vertex_path_classifies_and_round_trips():
+    # 1000 levels: twice the recursion limit's worth of a recursive classifier
+    D = path_graph(2000, {2000: 2})
+    cert = classify_last_power(D)
+    assert cert.verdict
+    back = certificate_from_doc(certificate_to_doc(cert))
+    assert back == cert
+
+
+def test_certificate_equality_walks_deep_trees():
+    D = path_graph(2000, {2000: 2})
+    a, b = classify_last_power(D), classify_last_power(D)
+    assert a is not b and a == b
+    doc = certificate_to_doc(a)
+    bottom = doc
+    while "child" in bottom["trace"]:
+        bottom = bottom["trace"]["child"]
+    bottom["trace"]["polymatroidal"] = False
+    assert a != certificate_from_doc(doc)  # differs only at the bottom level
+    assert a != ClassificationCertificate(True, UnweightedBaseNode())
+    assert a != "not a certificate"
+
+
+def test_one_engine_pass_per_level(monkeypatch):
+    passes = []
+
+    class Counting(classify._Forest):
+        __slots__ = ()
+
+        def __init__(self, n, edges):
+            passes.append(edges)
+            super().__init__(n, edges)
+
+    monkeypatch.setattr(classify, "_Forest", Counting)
+    for D in (path_graph(40, {40: 2}), path_graph(41, {41: 2}), seven_vertex_example()):
+        passes.clear()
+        classify_last_power(D)
+        # levels that ran the engine: each memo entry once, base cases without
+        # a matching number excluded
+        assert len(passes) == len(set(passes)) > 1

@@ -171,6 +171,15 @@ def test_crash_exits_2_not_1(seven_vertex_file, monkeypatch, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_classify_thousand_vertex_path_exits_0(tmp_path, capsys):
+    path = tmp_path / "path.json"
+    save_graph(path_graph(1000, {1000: 2}), path)
+    assert main(["classify", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["polymatroidal_last_power"] is True
+    assert out["matching_number"] == 500
+
+
 def test_malformed_config_value_exits_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     args = ["--config", str(config), "verify", "lemma31", "--max-n", "3"]

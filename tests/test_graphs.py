@@ -18,8 +18,13 @@ from matchpow import (
     matching_number,
     maximum_matchings,
 )
-from matchpow.generate import SplitMix64, build_random_forest, random_simple_graph
-from matchpow.graphs import _matching_number_forest, _matching_number_search
+from matchpow.generate import (
+    SplitMix64,
+    build_random_forest,
+    forest_edge_sets,
+    random_simple_graph,
+)
+from matchpow.graphs import _Forest, _matching_number_search, _matchings
 
 
 def test_build_validation():
@@ -103,7 +108,74 @@ def test_forest_fast_path_agrees_with_search_on_500_random_forests():
     for _ in range(500):
         n = rng.randint(2, 20)
         D = build_random_forest(n, 1, rng)
-        assert _matching_number_forest(D.underlying_edges) == _matching_number_search(D)
+        assert _Forest(D.n, D.underlying_edges).nu == _matching_number_search(D)
+
+
+def test_forest_engine_matches_search_on_every_forest_up_to_seven_vertices():
+    count = 0
+    for n in range(1, 8):
+        for edges in forest_edge_sets(n):
+            D = WeightedOrientedGraph.build(n, edges)
+            nu = _matching_number_search(D)
+            # nu(D - v) for every v, and the maximum matchings, from the list
+            # of all matchings
+            nu_without = [0] * (n + 1)
+            maxes = []
+            for m in _matchings(edges):
+                hit = {x for i in m for x in edges[i]}
+                for v in range(1, n + 1):
+                    if v not in hit and len(m) > nu_without[v]:
+                        nu_without[v] = len(m)
+                if len(m) == nu:
+                    maxes.append(m)
+            forest = _Forest(n, edges)
+            assert forest.nu == nu
+            for v in range(1, n + 1):
+                assert forest.covered(v) == (nu_without[v] < nu), (edges, v)
+            for i, e in enumerate(edges):
+                assert is_strong_edge(D, e) == all(i in m for m in maxes), (edges, e)
+            count += 1
+    assert count == 40_232
+
+
+def _tree_dp_nu(D):
+    """Matching number of a forest by the rooted-tree recurrence:
+    free[v] = sum of best over the children, best[v] = free[v] or one more by
+    matching v to a child c, losing best[c] - free[c]."""
+    seen, total = set(), 0
+    for root in D.vertices:
+        if root in seen:
+            continue
+        seen.add(root)
+        order, parent = [root], {root: None}
+        for v in order:
+            for u in D.adjacency[v]:
+                if u not in seen:
+                    seen.add(u)
+                    parent[u] = v
+                    order.append(u)
+        free, best = {}, {}
+        for v in reversed(order):
+            kids = [u for u in D.adjacency[v] if parent.get(u) == v and u != parent[v]]
+            free[v] = sum(best[c] for c in kids)
+            best[v] = free[v] + max([0] + [1 - best[c] + free[c] for c in kids])
+        total += best[root]
+    return total
+
+
+def test_forest_engine_matches_tree_dp_on_500_random_forests():
+    # The exhaustive search costs about a minute here; the recurrence is an
+    # independent reference that stays linear.
+    rng = SplitMix64(4040)
+    for _ in range(500):
+        D = build_random_forest(rng.randint(2, 40), 1, rng)
+        forest = _Forest(D.n, D.underlying_edges)
+        nu = _tree_dp_nu(D)
+        assert forest.nu == nu
+        if D.n <= 20:
+            assert nu == _matching_number_search(D)
+        for v in D.vertices:
+            assert forest.covered(v) == (_tree_dp_nu(D.delete({v})) < nu), (D, v)
 
 
 def test_matching_number_on_nonforest():

@@ -1,9 +1,12 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import seven_vertex_example
-from matchpow import MonomialIdeal, WeightedOrientedGraph, classify_last_power
+from conftest import path_graph, seven_vertex_example
+from matchpow import Monomial, MonomialIdeal, WeightedOrientedGraph, classify_last_power
 from matchpow.serialize import (
     certificate_from_doc,
     certificate_to_doc,
@@ -40,6 +43,9 @@ def test_graph_doc_defaults_and_errors():
         graph_from_doc({"vertices": ["1", "2"], "edges": [["1", "2"]], "weights": {"9": 2}})
     with pytest.raises(ValueError):
         graph_from_doc({"edges": []})
+    for weights in ([], 0, False, "", None):
+        with pytest.raises(ValueError, match="weights must be a JSON object"):
+            graph_from_doc({"vertices": ["1", "2"], "edges": [["1", "2"]], "weights": weights})
 
 
 def test_graph_file_roundtrip(tmp_path):
@@ -50,8 +56,6 @@ def test_graph_file_roundtrip(tmp_path):
 
 
 def test_ideal_doc_is_canonical(tmp_path):
-    from matchpow import Monomial
-
     I = MonomialIdeal.from_monomials(
         3, [Monomial((1, 1, 0)), Monomial((0, 0, 2)), Monomial((1, 1, 1))]
     )
@@ -94,3 +98,103 @@ def test_certificate_doc_errors():
         certificate_from_doc({"verdict": True, "trace": {"kind": "banana"}})
     with pytest.raises(ValueError):
         certificate_from_doc({"trace": {"kind": "unweighted_base"}})
+
+
+READERS = {
+    "graph": graph_from_doc,
+    "ideal": ideal_from_doc,
+    "certificate": certificate_from_doc,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_non_object_document_is_rejected(kind):
+    for doc in ([1, 2], "x", None, 5):
+        with pytest.raises(ValueError, match=f"^{kind} document must be a JSON object$"):
+            READERS[kind](doc)
+
+
+def _valid(kind, obj):
+    """The reader's result is well typed: writing and reading it again gives
+    it back."""
+    if kind == "graph":
+        return isinstance(obj, WeightedOrientedGraph) and graph_from_doc(graph_to_doc(obj)) == obj
+    if kind == "ideal":
+        return isinstance(obj, MonomialIdeal) and ideal_from_doc(ideal_to_doc(obj)) == obj
+    doc = json.loads(json.dumps(certificate_to_doc(obj)))
+    return certificate_from_doc(doc) == obj
+
+
+def _read(kind, doc):
+    try:
+        obj = READERS[kind](doc)
+    except ValueError:
+        return
+    assert _valid(kind, obj)
+
+
+# what json.loads can return, non-finite floats included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(st.sampled_from(sorted(READERS)), JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_readers_take_any_json_value(kind, doc):
+    _read(kind, doc)
+
+
+def _sample_docs():
+    graphs = [
+        seven_vertex_example(),
+        WeightedOrientedGraph.build(6, [(1, 4), (2, 3)], {4: 2}),
+        WeightedOrientedGraph.build(6, [(1, 2), (1, 4), (1, 5), (2, 3)], {3: 2}),
+        WeightedOrientedGraph.build(6, [(2, 3), (2, 4), (3, 1), (5, 1)], {1: 2}),
+        WeightedOrientedGraph.build(6, [(1, 3), (3, 2), (3, 4), (4, 5), (4, 6)], {3: 2}),
+        path_graph(5, {5: 2}),
+    ]
+    certs = [classify_last_power(D) for D in graphs]
+    ideal = MonomialIdeal.from_monomials(3, [Monomial((1, 2, 0)), Monomial((0, 2, 1))])
+    return (
+        [("graph", graph_to_doc(seven_vertex_example())), ("ideal", ideal_to_doc(ideal))]
+        + [("certificate", certificate_to_doc(c)) for c in certs]
+    )
+
+
+SAMPLE_DOCS = _sample_docs()
+
+
+@given(st.sampled_from(SAMPLE_DOCS), st.data())
+@settings(max_examples=600, deadline=None)
+def test_readers_take_documents_with_one_wrong_value(sample, data):
+    """A valid document with one value, at any depth, replaced by any JSON
+    value or removed."""
+    kind, doc = sample
+    doc = copy.deepcopy(doc)
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+            break
+        else:
+            node[key] = data.draw(JSON_VALUES)
+            break
+    _read(kind, doc)
+
+
+def test_sample_documents_cover_every_node_kind():
+    kinds = set()
+    for kind, doc in SAMPLE_DOCS:
+        stack = [doc] if kind == "certificate" else []
+        while stack:
+            trace = stack.pop()["trace"]
+            kinds.add(trace["kind"])
+            stack.extend(v for k, v in trace.items() if k.startswith("child"))
+    assert len(kinds) == 7
