@@ -136,6 +136,24 @@ class ClassificationCertificate:
                 return False
         return True
 
+    def __repr__(self) -> str:
+        # The generated dataclass text, built on a stack too: a str on the stack
+        # is literal text, a 1-tuple holds a value still to be written.
+        parts: list[str] = []
+        stack: list[object] = [(self,)]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, str):
+                parts.append(x)
+            elif is_dataclass(x[0]):
+                todo: list[object] = [type(x[0]).__qualname__ + "("]
+                for k, f in enumerate(fields(x[0])):
+                    todo += [(", " if k else "") + f.name + "=", (getattr(x[0], f.name),)]
+                stack += reversed(todo + [")"])
+            else:
+                parts.append(repr(x[0]))
+        return "".join(parts)
+
 
 def _validate_config(D: WeightedOrientedGraph, config: DistantConfig) -> bool:
     """The configuration lists every leaf neighbour of the centre except a

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,14 @@ from matchpow import (
     matching_power,
     regularity,
 )
-from matchpow.betti import _int_rank, _koszul_faces, _ranks_from_faces, field_discrepancies
+import matchpow.betti
+from matchpow.betti import (
+    _h0_at,
+    _int_rank,
+    _koszul_faces,
+    _ranks_from_faces,
+    field_discrepancies,
+)
 from matchpow.generate import SplitMix64, build_random_forest
 
 
@@ -172,7 +180,7 @@ def test_betti_cap():
         betti_numbers(I)
     with pytest.raises(GeneratorCapError):
         has_linear_resolution(I)
-    assert is_linearly_related(I)  # the H~_0 scan needs no cap
+    assert is_linearly_related(I)  # pairwise lcms need no cap
 
 
 def test_betti_zero_ideal_rejected():
@@ -256,6 +264,64 @@ def test_implication_chain(seed):
             assert has_linear_resolution(P)
         if has_linear_resolution(P):
             assert is_linearly_related(P)
+
+
+def _squarefree_veronese(n, d):
+    return ideal(n, *(tuple(int(i in c) for i in range(n)) for c in combinations(range(n), d)))
+
+
+def _maximal_ideal_power(n, d):
+    return ideal(
+        n, *(tuple(c.count(i) for i in range(n)) for c in combinations_with_replacement(range(n), d))
+    )
+
+
+def test_linear_relations_close_no_lattice(monkeypatch):
+    def closure(I):
+        raise AssertionError("is_linearly_related closed the lcm lattice")
+
+    monkeypatch.setattr(matchpow.betti, "lcm_lattice", closure)
+    P16 = matching_power(edge_ideal(path_graph(16)), 3)
+    assert len(P16.gens) == 286
+    assert is_linearly_related(_maximal_ideal_power(16, 1))
+    assert not is_linearly_related(P16)
+    assert is_linearly_related(_squarefree_veronese(9, 4))
+    assert is_linearly_related(_maximal_ideal_power(7, 2))
+
+
+def _random_monomial(rng, n, degree=None):
+    """Exponents up to 4; of the given total degree when one is given."""
+    if degree is None:
+        return tuple(rng.randint(0, 4) for _ in range(n))
+    exps = [0] * n
+    for _ in range(degree):
+        exps[rng.choice([i for i in range(n) if exps[i] < 4])] += 1
+    return tuple(exps)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_h0_matches_the_face_search_on_the_lattice(seed):
+    rng = SplitMix64(seed)
+    n = rng.randint(1, 5)
+    degree = rng.randint(1, min(6, 4 * n)) if rng.randint(0, 1) else None
+    I = ideal(n, *(_random_monomial(rng, n, degree) for _ in range(rng.randint(1, 6))))
+    gens_exps = [g.exponents for g in I.gens]
+    for a in lcm_lattice(I):
+        _, faces = _koszul_faces(gens_exps, a.exponents)
+        ranks = _ranks_from_faces(faces, FIELD_GF2)
+        assert _h0_at(gens_exps, a.exponents) == (ranks[1] if len(ranks) > 1 else 0)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_linear_relations_match_the_betti_table(seed):
+    rng = SplitMix64(seed)
+    n = rng.randint(2, 5)
+    degree = rng.randint(1, 5)
+    I = ideal(n, *(_random_monomial(rng, n, degree) for _ in range(rng.randint(1, 9))))
+    entries = betti_numbers(I).entries
+    assert is_linearly_related(I) == all(sum(a) == degree + 1 for (i, a) in entries if i == 1)
 
 
 def test_field_agreement_on_fixtures():

@@ -1,3 +1,5 @@
+from dataclasses import make_dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,6 +296,38 @@ def test_certificate_equality_walks_deep_trees():
     assert a != certificate_from_doc(doc)  # differs only at the bottom level
     assert a != ClassificationCertificate(True, UnweightedBaseNode())
     assert a != "not a certificate"
+
+
+def test_certificate_repr_walks_deep_trees():
+    cert = classify_last_power(path_graph(2000, {2000: 2}))
+    text = repr(cert)
+    assert text.startswith("ClassificationCertificate(verdict=True, trace=StrongEdgeNode(")
+    assert text.count("ClassificationCertificate(") == 1000
+    assert text.endswith("trace=NuOneBaseNode(polymatroidal=True)" + ")" * 1999)
+
+
+def test_certificate_repr_matches_the_generated_one(monkeypatch):
+    # a dataclass of the same name and fields has the generated __repr__
+    generated = make_dataclass(
+        "ClassificationCertificate", [("verdict", bool), ("trace", object)], frozen=True
+    ).__repr__
+    certs = [
+        classify_last_power(seven_vertex_example()),
+        classify_last_power(double_star(reversed_second_leaf=True)),
+        classify_last_power(
+            WeightedOrientedGraph.build(5, [(1, 2), (3, 2), (3, 4), (5, 4)], {2: 2, 4: 2})
+        ),
+    ]
+    rng = SplitMix64(41)
+    while len(certs) < 40:
+        D = build_random_forest(rng.randint(2, 9), 3, rng)
+        if matching_number(D) >= 1:
+            certs.append(classify_last_power(D))
+    ours = [repr(c) for c in certs]
+    for node in (IsolatedEdgeNode, StrongEdgeNode, StarFactorNode, StarSplitNode, RefutedNode):
+        assert any(node.__name__ + "(" in text for text in ours)
+    monkeypatch.setattr(ClassificationCertificate, "__repr__", generated)
+    assert ours == [repr(c) for c in certs]
 
 
 def test_one_engine_pass_per_level(monkeypatch):

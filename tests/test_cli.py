@@ -98,6 +98,20 @@ def test_check_commands(tmp_path, capsys):
     assert main(["check", "linrel", str(good_path)]) == 0
 
 
+def test_check_linear_names_the_python_cap(tmp_path, capsys):
+    # the 16-variable maximal ideal: above the Betti cap, but linear relations
+    # read pairwise lcms only and need no cap
+    path = tmp_path / "m16.json"
+    gens = [Monomial(tuple(int(j == i) for j in range(16))) for i in range(16)]
+    save_ideal(MonomialIdeal.from_monomials(16, gens), path)
+    assert main(["check", "linear", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "above the Betti cap 14" in err
+    assert "cap= to betti_numbers or has_linear_resolution" in err
+    assert main(["check", "linrel", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"linearly_related": True}
+
+
 def test_verify_commands_small(tmp_path, capsys):
     out = tmp_path / "reports.jsonl"
     assert (
