@@ -122,19 +122,26 @@ class ClassificationCertificate:
     verdict: bool
     trace: TraceNode
 
-    def __eq__(self, other: object) -> bool:
-        # Walks both trees with a stack: a certificate is one level deep per
-        # matching-number step, too deep for a recursive comparison.
-        stack = [(self, other)]
+    def _tokens(self) -> list[object]:
+        # The tree in prefix order (a dataclass node as its type, then its
+        # fields; any other value with its type), built on a stack: a
+        # certificate is one level deep per matching-number step.
+        out: list[object] = []
+        stack: list[object] = [self]
         while stack:
-            x, y = stack.pop()
-            if type(x) is not type(y):
-                return False
+            x = stack.pop()
             if is_dataclass(x):
-                stack.extend((getattr(x, f.name), getattr(y, f.name)) for f in fields(x))
-            elif x != y:
-                return False
-        return True
+                out.append(type(x))
+                stack.extend(getattr(x, f.name) for f in fields(x))
+            else:
+                out.append((type(x), x))
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._tokens() == other._tokens()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._tokens()))
 
     def __repr__(self) -> str:
         # The generated dataclass text, built on a stack too: a str on the stack
@@ -393,30 +400,19 @@ def _verify(D: WeightedOrientedGraph, cert: ClassificationCertificate) -> bool:
         ok = is_polymatroidal(edge_ideal(D))
         return ok == node.polymatroidal == cert.verdict
 
-    if isinstance(node, IsolatedEdgeNode):
-        a, b = node.edge
-        if not D.has_edge(a, b) or D.degree(a) != 1 or D.degree(b) != 1:
-            return False
-        if cert.verdict != node.child.verdict:
-            return False
-        nu = matching_number(D)
-        sub = D.delete((a, b))
-        if cert.verdict:
-            lhs = matching_power(edge_ideal(D), nu)
-            rhs = matching_power(edge_ideal(sub), nu - 1).times_monomial(
-                edge_monomial(D, (a, b))
-            )
-            if lhs != rhs:
+    if isinstance(node, (IsolatedEdgeNode, StrongEdgeNode)):
+        # an isolated or a strong pendant edge factors out of the power
+        if isinstance(node, IsolatedEdgeNode):
+            edge = a, b = node.edge
+            if not D.has_edge(a, b) or D.degree(a) != 1 or D.degree(b) != 1:
                 return False
-        return _verify(sub, node.child)
-
-    if isinstance(node, StrongEdgeNode):
-        config = node.config
-        if not _validate_config(D, config) or config.t != 1:
-            return False
-        edge = (config.leaves[0], config.center)
-        if not is_strong_edge(D, edge):
-            return False
+        else:
+            config = node.config
+            if not _validate_config(D, config) or config.t != 1:
+                return False
+            edge = (config.leaves[0], config.center)
+            if not is_strong_edge(D, edge):
+                return False
         if cert.verdict != node.child.verdict:
             return False
         nu = matching_number(D)
@@ -493,22 +489,21 @@ def _verify(D: WeightedOrientedGraph, cert: ClassificationCertificate) -> bool:
             return False
         if node.condition == "no_edges":
             return not D.underlying_edges
-        if node.condition == "leaf_weight":
-            found = find_distant_configuration(D)
-            if not isinstance(found, DistantConfig):
-                return False
-            return any(
-                a in node.locus and D.weight(a) != 1 for a in found.leaves
-            )
         if node.condition == "child_power":
             if node.child is None or node.child.verdict:
                 return False
             sub = D.delete(node.locus)
             return _verify(sub, node.child)
-        if node.condition == "pendant_exponent":
+        if node.condition in ("leaf_weight", "pendant_exponent", "bridge_shape"):
+            # each re-checks the distant configuration the classifier chose
             found = find_distant_configuration(D)
             if not isinstance(found, DistantConfig):
                 return False
+        if node.condition == "leaf_weight":
+            return any(
+                a in node.locus and D.weight(a) != 1 for a in found.leaves
+            )
+        if node.condition == "pendant_exponent":
             deltas = _pendant_deltas(D, found)
             if len(deltas) > 1:
                 return True
@@ -516,9 +511,6 @@ def _verify(D: WeightedOrientedGraph, cert: ClassificationCertificate) -> bool:
             star_case = matching_number(D.delete({found.center, found.anchor})) < nu - 1
             return not star_case and deltas != {D.weight(found.center)}
         if node.condition == "bridge_shape":
-            found = find_distant_configuration(D)
-            if not isinstance(found, DistantConfig):
-                return False
             b, c = found.center, found.anchor
             if D.weight(c) != 1:
                 return True

@@ -158,14 +158,19 @@ def _summary_ok(summary: dict[str, Any], keys: tuple[str, ...]) -> bool:
     return all(not summary.get(k) for k in keys)
 
 
+def _given(args, *names: str) -> dict[str, Any]:
+    """Options the command line set, 0 included; an omitted one keeps its default."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _cmd_verify(args) -> int:
     caps = OracleCaps()
     if args.theorem == "thm11":
         if args.exhaustive:
-            summary = verify_thm11_exhaustive(args.max_n or 7, args.workers)
+            summary = verify_thm11_exhaustive(workers=args.workers, **_given(args, "max_n"))
             reports = []
         else:
-            summary = verify_thm11_random(args.trials or 500, args.max_n or 9, args.seed)
+            summary = verify_thm11_random(seed=args.seed, **_given(args, "trials", "max_n"))
             reports = summary.pop("reports", [])
         _write_reports(args.out, reports)
         _emit(summary)
@@ -173,7 +178,7 @@ def _cmd_verify(args) -> int:
     if args.theorem == "thm34":
         if args.exhaustive:
             summary = verify_thm34_exhaustive(
-                args.max_n or 6, args.max_weight, args.workers, caps
+                max_weight=args.max_weight, workers=args.workers, caps=caps, **_given(args, "max_n")
             )
             _write_reports(args.out, summary.get("disagreements", []))
             _emit(summary)
@@ -183,7 +188,7 @@ def _cmd_verify(args) -> int:
             )
             return 0 if ok else 1
         summary = verify_thm34_random(
-            args.trials or 200, args.seed, args.max_n or 8, args.max_weight, caps
+            seed=args.seed, max_weight=args.max_weight, caps=caps, **_given(args, "trials", "max_n")
         )
         reports = [r.to_doc() for r in summary.pop("reports", [])]
         _write_reports(args.out, reports)
@@ -195,7 +200,7 @@ def _cmd_verify(args) -> int:
         _write_reports(args.out, reports)
         _emit(summary)
         return 0 if not summary["failures"] else 1
-    summary = verify_lemma31(args.max_n or 6)
+    summary = verify_lemma31(**_given(args, "max_n"))
     _emit(summary)
     return 0 if not summary["mismatches"] else 1
 

@@ -8,7 +8,7 @@ ring; the active vertex set shrinks instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 __all__ = [
@@ -151,12 +151,11 @@ class WeightedOrientedGraph:
 
     @cached_property
     def nu(self) -> int:
-        """Matching number, computed once per graph value."""
-        if not self.underlying_edges:
-            return 0
+        """Matching number, computed once per graph value: :class:`_Forest` on
+        forests, :func:`_blossom_nu` on every other graph."""
         if self._is_forest:
             return _Forest(self.n, self.underlying_edges).nu
-        return _matching_number_search(self)
+        return _blossom_nu(self.n, self.underlying_edges)
 
     def name_of(self, v: int) -> str:
         return self.names[v - 1] if self.names else str(v)
@@ -353,92 +352,107 @@ class _Forest:
         raise ValueError("graph has edges but no distant configuration (not a forest?)")
 
 
-def _mask_engine(D: WeightedOrientedGraph):
-    """Bitmask adjacency plus a memoised max-matching-size function."""
-    verts = list(D.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    nbr_masks = [0] * len(verts)
-    for a, b in D.underlying_edges:
-        ia, ib = index[a], index[b]
-        nbr_masks[ia] |= 1 << ib
-        nbr_masks[ib] |= 1 << ia
-    memo: dict[int, int] = {}
+def _blossom_nu(n: int, edges: Iterable[tuple[int, int]]) -> int:
+    """Matching number of any simple graph on labels 1..n: Edmonds' blossom
+    algorithm ("Paths, trees, and flowers", 1965) in its O(V^3) queue form.
 
-    def best(avail: int) -> int:
-        while avail:
-            low = (avail & -avail).bit_length() - 1
-            if nbr_masks[low] & avail:
+    A greedy matching grows one augmenting path at a time, found by a
+    breadth-first alternating tree from an exposed root.  ``parent`` links an
+    inner vertex to the outer vertex that reached it; an edge between two
+    outer vertices closes an odd cycle, contracted by giving its vertices a
+    common ``base``.  A root that fails once fails for good.
+    """
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    mate = [0] * (n + 1)  # 0 for unmatched
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+        if not mate[a] and not mate[b]:
+            mate[a], mate[b] = b, a
+    for root in range(1, n + 1):
+        if mate[root] or not adj[root]:
+            continue
+        parent = [0] * (n + 1)
+        base = list(range(n + 1))
+        outer = [False] * (n + 1)
+        outer[root] = True
+        queue = [root]
+        exposed = 0
+        for v in queue:  # the queue grows while it is read
+            for u in adj[v]:
+                if base[v] == base[u] or mate[v] == u:
+                    continue
+                if u == root or (mate[u] and parent[mate[u]]):
+                    # u is outer too: the blossom's base is the first base
+                    # that the tree paths from v and from u share
+                    path = [base[v]]
+                    while path[-1] != root:
+                        path.append(base[parent[mate[path[-1]]]])
+                    b, on_path = base[u], set(path)
+                    while b not in on_path:
+                        b = base[parent[mate[b]]]
+                    # relink both halves of the cycle towards the base
+                    bases = set()
+                    for x, child in ((v, u), (u, v)):
+                        while base[x] != b:
+                            bases.update((base[x], base[mate[x]]))
+                            parent[x] = child
+                            child = mate[x]
+                            x = parent[child]
+                    for x in range(1, n + 1):
+                        if base[x] in bases:
+                            base[x] = b
+                            if not outer[x]:
+                                outer[x] = True
+                                queue.append(x)
+                elif not parent[u]:
+                    parent[u] = v
+                    if not mate[u]:
+                        exposed = u
+                        break
+                    outer[mate[u]] = True
+                    queue.append(mate[u])
+            if exposed:
                 break
-            avail ^= 1 << low  # vertex with no available neighbour
-        else:
-            return 0
-        if avail in memo:
-            return memo[avail]
-        low_bit = 1 << low
-        result = best(avail ^ low_bit)  # leave it unmatched
-        cands = nbr_masks[low] & avail
-        while cands:
-            u_bit = cands & -cands
-            cands ^= u_bit
-            result = max(result, 1 + best(avail ^ low_bit ^ u_bit))
-        memo[avail] = result
-        return result
-
-    return verts, nbr_masks, best
-
-
-def _matching_number_search(D: WeightedOrientedGraph) -> int:
-    """Exact maximum matching size by memoised branching on the lowest vertex."""
-    verts, _, best = _mask_engine(D)
-    return best((1 << len(verts)) - 1)
+        while exposed:  # flip the augmenting path that ends at it
+            v = parent[exposed]
+            nxt = mate[v]
+            mate[exposed], mate[v] = v, exposed
+            exposed = nxt
+    return sum(1 for v in mate if v) // 2
 
 
 def matching_number(D: WeightedOrientedGraph) -> int:
-    """Maximum matching size; leaf matching on forests, exact search otherwise."""
+    """Maximum matching size: the leaf-matching pass on forests, Edmonds'
+    blossom algorithm on every other graph (both polynomial)."""
     return D.nu
 
 
 def maximum_matchings(D: WeightedOrientedGraph) -> tuple[int, list[Matching]]:
-    """The matching number together with every maximum matching.
+    """The matching number together with every maximum matching, in no
+    promised order.
 
-    The enumeration branches on the lowest active vertex and is guided by the
-    memoised matching-number table, so no dead branches are explored.
+    A flashlight search on an explicit stack branches on the first remaining
+    edge, keeping each branch only while the matching number of what is left
+    can still complete a maximum matching: every branch ends in one.
     """
-    if not D.underlying_edges:
-        return 0, [Matching(())]
-    verts, nbr_masks, best = _mask_engine(D)
-    full = (1 << len(verts)) - 1
-    nu = best(full)
+    edges = list(D.underlying_edges)
+    n = D.n
+    nu_of = (lambda rest: _Forest(n, rest).nu) if D._is_forest else partial(_blossom_nu, n)
     out: list[Matching] = []
-    chosen: list[tuple[int, int]] = []
-
-    def walk(avail: int, need: int) -> None:
-        if need == 0:
-            out.append(Matching(tuple(sorted(chosen))))
-            return
-        a = avail
-        while a:
-            low = (a & -a).bit_length() - 1
-            if nbr_masks[low] & avail:
-                break
-            a ^= 1 << low
-        avail = a
-        low_bit = 1 << low
-        if best(avail ^ low_bit) >= need:  # leave lowest vertex unmatched
-            walk(avail ^ low_bit, need)
-        cands = nbr_masks[low] & avail
-        while cands:
-            u_bit = cands & -cands
-            cands ^= u_bit
-            if 1 + best(avail ^ low_bit ^ u_bit) >= need:
-                u = verts[u_bit.bit_length() - 1]
-                v = verts[low]
-                chosen.append((min(v, u), max(v, u)))
-                walk(avail ^ low_bit ^ u_bit, need - 1)
-                chosen.pop()
-
-    walk(full, nu)
-    return nu, out
+    stack: list[tuple[list, tuple, int]] = [(edges, (), D.nu)]
+    while stack:
+        rest, chosen, need = stack.pop()
+        if not need:
+            out.append(Matching(chosen))
+            continue
+        (a, b), rest = rest[0], rest[1:]
+        if nu_of(rest) >= need:
+            stack.append((rest, chosen, need))
+        rest = [e for e in rest if a not in e and b not in e]
+        if nu_of(rest) >= need - 1:
+            stack.append((rest, chosen + ((a, b),), need - 1))
+    return D.nu, out
 
 
 def is_strong_edge(D: WeightedOrientedGraph, edge: tuple[int, int]) -> bool:
@@ -446,10 +460,7 @@ def is_strong_edge(D: WeightedOrientedGraph, edge: tuple[int, int]) -> bool:
 
     Decided by deleting the edge (vertices kept) and comparing matching numbers.
     """
-    pair = tuple(sorted(edge))
-    if pair not in set(D.underlying_edges):
-        raise ValueError(f"{{{edge[0]},{edge[1]}}} is not an edge")
-    directed = D.orientation(*pair)
+    directed = D.orientation(*edge)  # raises unless it is an edge
     pruned = WeightedOrientedGraph(
         D.n, tuple(e for e in D.edges if e != directed), D.weights, D.vertices, D.names
     )

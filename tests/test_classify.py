@@ -298,6 +298,13 @@ def test_certificate_equality_walks_deep_trees():
     assert a != "not a certificate"
 
 
+def test_certificate_hash_walks_deep_trees():
+    cert = classify_last_power(path_graph(2000, {2000: 2}))
+    back = certificate_from_doc(certificate_to_doc(cert))
+    assert hash(cert) == hash(back)  # equal certificates hash equal
+    assert len({cert, back, ClassificationCertificate(True, UnweightedBaseNode())}) == 2
+
+
 def test_certificate_repr_walks_deep_trees():
     cert = classify_last_power(path_graph(2000, {2000: 2}))
     text = repr(cert)

@@ -152,6 +152,19 @@ def test_verify_commands_small(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_honours_zero_options(capsys):
+    assert main(["verify", "thm11", "--trials", "0", "--max-n", "3"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["trials"], summary["max_n"], summary["failures"]) == (0, 3, [])
+    assert main(["verify", "thm34", "--trials", "0"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["trials"], summary["max_n"]) == (0, 8)  # an omitted option keeps its default
+    assert main(["verify", "thm11", "--exhaustive", "--max-n", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["graphs_checked"] == 0
+    assert main(["verify", "lemma31", "--max-n", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["configurations_checked"] == 0
+
+
 def test_enumerate_command(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["enumerate", "--nu", "1", "--budget", "4", "--out", str(out_dir)]) == 0

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -24,7 +25,8 @@ from matchpow.generate import (
     forest_edge_sets,
     random_simple_graph,
 )
-from matchpow.graphs import _Forest, _matching_number_search, _matchings
+from matchpow.graphs import _Forest, _blossom_nu, _matchings
+from matchpow.harness import _max_matching_supports
 
 
 def test_build_validation():
@@ -108,7 +110,7 @@ def test_forest_fast_path_agrees_with_search_on_500_random_forests():
     for _ in range(500):
         n = rng.randint(2, 20)
         D = build_random_forest(n, 1, rng)
-        assert _Forest(D.n, D.underlying_edges).nu == _matching_number_search(D)
+        assert _Forest(D.n, D.underlying_edges).nu == _blossom_nu(D.n, D.underlying_edges)
 
 
 def test_forest_engine_matches_search_on_every_forest_up_to_seven_vertices():
@@ -116,12 +118,13 @@ def test_forest_engine_matches_search_on_every_forest_up_to_seven_vertices():
     for n in range(1, 8):
         for edges in forest_edge_sets(n):
             D = WeightedOrientedGraph.build(n, edges)
-            nu = _matching_number_search(D)
-            # nu(D - v) for every v, and the maximum matchings, from the list
-            # of all matchings
+            # nu, nu(D - v) for every v, and the maximum matchings, from the
+            # list of all matchings
+            every = list(_matchings(edges))
+            nu = max(len(m) for m in every)
             nu_without = [0] * (n + 1)
             maxes = []
-            for m in _matchings(edges):
+            for m in every:
                 hit = {x for i in m for x in edges[i]}
                 for v in range(1, n + 1):
                     if v not in hit and len(m) > nu_without[v]:
@@ -164,16 +167,14 @@ def _tree_dp_nu(D):
 
 
 def test_forest_engine_matches_tree_dp_on_500_random_forests():
-    # The exhaustive search costs about a minute here; the recurrence is an
-    # independent reference that stays linear.
+    # the recurrence and the blossom algorithm are independent references
     rng = SplitMix64(4040)
     for _ in range(500):
         D = build_random_forest(rng.randint(2, 40), 1, rng)
         forest = _Forest(D.n, D.underlying_edges)
         nu = _tree_dp_nu(D)
         assert forest.nu == nu
-        if D.n <= 20:
-            assert nu == _matching_number_search(D)
+        assert nu == _blossom_nu(D.n, D.underlying_edges)
         for v in D.vertices:
             assert forest.covered(v) == (_tree_dp_nu(D.delete({v})) < nu), (D, v)
 
@@ -185,6 +186,65 @@ def test_matching_number_on_nonforest():
         4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     )
     assert matching_number(k4) == 2
+
+
+def _brute_nu(n, edges):
+    """Oracle: the size of the largest matching in the list of all of them."""
+    return max(len(m) for m in _matchings(tuple(edges)))
+
+
+def test_blossom_matches_brute_force_on_every_graph_up_to_six_vertices():
+    count = 0
+    for n in range(1, 7):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            nu = _blossom_nu(n, edges)
+            assert nu == _brute_nu(n, edges), (n, edges)
+            assert nu == _max_matching_supports(n, edges)[0], (n, edges)
+            count += 1
+    assert count == 33_867
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_blossom_matches_brute_force_on_random_graphs(seed):
+    # nested blossoms need at least seven vertices
+    rng = SplitMix64(seed)
+    n = rng.randint(7, 10)
+    G = random_simple_graph(n, rng.choice((0.2, 0.3, 0.5, 0.8)), rng)
+    assert _blossom_nu(n, G.underlying_edges) == _brute_nu(n, G.underlying_edges)
+
+
+def test_blossom_known_values():
+    for m in range(1, 12):
+        cycle = [(i, i % (2 * m + 1) + 1) for i in range(1, 2 * m + 2)]
+        assert _blossom_nu(2 * m + 1, cycle) == m
+    for n in range(1, 12):
+        assert _blossom_nu(n, list(combinations(range(1, n + 1), 2))) == n // 2
+    petersen = (
+        [(i, i % 5 + 1) for i in range(1, 6)]
+        + [(6 + i, 6 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(1, 6)]
+    )
+    assert _blossom_nu(10, petersen) == 5
+    assert matching_number(WeightedOrientedGraph.build(10, petersen)) == 5
+
+
+def test_matching_number_of_a_200_vertex_graph_is_fast():
+    rng = SplitMix64(8)
+    G = random_simple_graph(200, 0.05, rng)
+    assert not is_forest(G)
+    started = time.perf_counter()
+    nu = matching_number(G)
+    assert time.perf_counter() - started < 1.0
+    # relabelling changes the greedy start and the roots, not the answer
+    perm = list(range(1, 201))
+    for i in range(199, 0, -1):
+        j = rng.randrange(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    relabelled = [(perm[a - 1], perm[b - 1]) for a, b in G.underlying_edges]
+    assert 0 < nu <= 100 and _blossom_nu(200, relabelled) == nu
 
 
 def test_maximum_matchings_lists_all():
@@ -206,6 +266,25 @@ def test_is_strong_edge_examples():
     assert is_strong_edge(lone, (1, 2))
     with pytest.raises(ValueError):
         is_strong_edge(P4, (1, 3))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_maximum_matchings_match_brute_force(seed):
+    rng = SplitMix64(seed)
+    G = random_simple_graph(rng.randint(1, 8), rng.choice((0.2, 0.4, 0.6, 0.9)), rng)
+    nu, maxes = maximum_matchings(G)
+    assert nu == matching_number(G) and not _brute_matchings(G, nu + 1)
+    assert sorted(maxes, key=lambda m: m.edges) == _brute_matchings(G, nu)
+
+
+def test_maximum_matchings_of_an_odd_cycle():
+    C61 = WeightedOrientedGraph.build(61, [(i, i % 61 + 1) for i in range(1, 62)])
+    nu, maxes = maximum_matchings(C61)
+    assert nu == 30 and len(maxes) == 61
+    # each maximum matching misses one vertex, and each vertex is missed once
+    missed = [v for m in maxes for v in set(range(1, 62)) - m.vertices()]
+    assert sorted(missed) == list(range(1, 62))
 
 
 @given(st.integers(0, 400))

@@ -35,12 +35,12 @@ def test_canonical_key_is_relabelling_invariant():
 def test_oracle_cache_does_not_leak_across_caps():
     p4 = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1))
     tight = OracleCaps(betti_max_generators=1)
-    # either order must give each caps its own answer
-    assert _oracle_abc(p4, tight) == (None, False, None)
+    # either order must give each caps its own answer; linear relations
+    # read pairwise lcms only and are never capped
+    assert _oracle_abc(p4, tight) == (True, False, None)
     assert _oracle_abc(p4, OracleCaps()) == (True, False, True)
-    assert _oracle_abc(p4, tight) == (None, False, None)
-    assert _oracle_linrel(p4, OracleCaps()) is True
-    assert _oracle_linrel(p4, tight) is None
+    assert _oracle_abc(p4, tight) == (True, False, None)
+    assert _oracle_linrel(p4) is True
 
 
 def test_max_matching_supports_p4():
@@ -77,13 +77,10 @@ def test_cross_validate_respects_caps():
     D = seven_vertex_example()
     tight = OracleCaps(betti_max_generators=1, exchange_max_pairs=1)
     report = cross_validate(D, caps=tight)
-    assert set(report.skipped) == {
-        "polymatroidal",
-        "linearly_related",
-        "linear_resolution",
-    }
+    assert set(report.skipped) == {"polymatroidal", "linear_resolution"}
+    assert report.verdicts["linearly_related"] is True
     assert report.verdicts["classifier"] is True
-    assert report.agreement  # only the classifier verdict remains
+    assert report.agreement  # linear relations and the classifier remain
 
 
 def test_thm11_exhaustive_small():
