@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le, lt
+from typing import Iterator
+
 from .monomials import Monomial, MonomialIdeal
 
 __all__ = [
@@ -219,6 +221,17 @@ def _require_capped(I: MonomialIdeal, cap: int) -> None:
         )
 
 
+def _betti_entries(I: MonomialIdeal, field: str) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The nonzero beta_{i,a} of a nonzero ideal as (i, a, rank), lazily, one
+    lcm-lattice point at a time."""
+    gens_exps = [g.exponents for g in I.gens]
+    for a in lcm_lattice(I):
+        _, faces = _koszul_faces(gens_exps, a.exponents)
+        for i, r in enumerate(_ranks_from_faces(faces, field)):
+            if r:
+                yield i, a.exponents, r
+
+
 def betti_numbers(
     I: MonomialIdeal, field: str = FIELD_GF2, cap: int = DEFAULT_GENERATOR_CAP
 ) -> BettiTable:
@@ -227,14 +240,7 @@ def betti_numbers(
     if I.is_zero():
         raise ValueError("the zero ideal has no Betti table")
     _require_capped(I, cap)
-    gens_exps = [g.exponents for g in I.gens]
-    entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    for a in lcm_lattice(I):
-        _, faces = _koszul_faces(gens_exps, a.exponents)
-        ranks = _ranks_from_faces(faces, field)
-        for i, r in enumerate(ranks):
-            if r:
-                entries[(i, a.exponents)] = r
+    entries = {(i, a): r for i, a, r in _betti_entries(I, field)}
     degrees = tuple(sorted({g.degree for g in I.gens}))
     return BettiTable(I.n, entries, degrees)
 
@@ -254,15 +260,7 @@ def has_linear_resolution(
     if d is None:
         return False
     _require_capped(I, cap)
-    gens_exps = [g.exponents for g in I.gens]
-    for a in lcm_lattice(I):
-        offset = a.degree - d
-        _, faces = _koszul_faces(gens_exps, a.exponents)
-        ranks = _ranks_from_faces(faces, field)
-        for i, r in enumerate(ranks):
-            if r and i != offset:
-                return False
-    return True
+    return all(sum(a) - i == d for i, a, _ in _betti_entries(I, field))
 
 
 def _h0_at(gens_exps: list[tuple[int, ...]], aexp: tuple[int, ...]) -> int:

@@ -178,7 +178,7 @@ def _cmd_verify(args) -> int:
     if args.theorem == "thm34":
         if args.exhaustive:
             summary = verify_thm34_exhaustive(
-                max_weight=args.max_weight, workers=args.workers, caps=caps, **_given(args, "max_n")
+                workers=args.workers, caps=caps, **_given(args, "max_n", "max_weight")
             )
             _write_reports(args.out, summary.get("disagreements", []))
             _emit(summary)
@@ -188,14 +188,16 @@ def _cmd_verify(args) -> int:
             )
             return 0 if ok else 1
         summary = verify_thm34_random(
-            seed=args.seed, max_weight=args.max_weight, caps=caps, **_given(args, "trials", "max_n")
+            seed=args.seed, caps=caps, **_given(args, "trials", "max_n", "max_weight")
         )
         reports = [r.to_doc() for r in summary.pop("reports", [])]
         _write_reports(args.out, reports)
         _emit(summary)
         return 0 if not summary["disagreements"] else 1
     if args.theorem == "lemma22":
-        summary = verify_lemma22(args.pairs, args.seed, caps=caps)
+        summary = verify_lemma22(
+            args.pairs, args.seed, caps=caps, **_given(args, "max_n", "max_weight")
+        )
         reports = summary.pop("reports", [])
         _write_reports(args.out, reports)
         _emit(summary)
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--trials", type=int)
     p.add_argument("--max-n", type=int, dest="max_n")
-    p.add_argument("--max-weight", type=int, default=3, dest="max_weight")
+    p.add_argument("--max-weight", type=int, dest="max_weight")
     p.add_argument("--pairs", type=int, default=50)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", help="write line-delimited report documents here")

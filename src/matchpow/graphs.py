@@ -8,8 +8,9 @@ ring; the active vertex set shrinks instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from functools import cached_property, partial, reduce
+from operator import or_
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "WeightedOrientedGraph",
@@ -202,42 +203,52 @@ def is_forest(D: WeightedOrientedGraph) -> bool:
     return D._is_forest
 
 
-def _matchings(
-    edges: tuple[tuple[int, int], ...], size: Optional[int] = None
+def _disjoint_sets(
+    supports: Sequence[Collection[int]], size: Optional[int] = None
 ) -> Iterator[tuple[int, ...]]:
-    """Matchings as edge-index tuples, lazily, in depth-first (lexicographic
-    index) order: every matching when ``size`` is None, else only those of
-    that size, cutting branches that can no longer reach it."""
+    """Index tuples of pairwise disjoint supports (edges give matchings),
+    lazily, in lexicographic index order with every tuple before its
+    extensions: all of them when ``size`` is None, else only those of that
+    size.
+
+    The search runs on an explicit stack of candidate sets, bitmasks over the
+    indices after the last one chosen whose supports miss every chosen one.
+    With a ``size`` it cuts a branch once fewer candidates remain than it
+    still needs.
+    """
     if size is None or size == 0:
         yield ()
     if size == 0:
         return
-    m = len(edges)
+    holders: dict[int, int] = {}  # variable -> mask of the supports holding it
+    for i, supp in enumerate(supports):
+        for v in supp:
+            holders[v] = holders.get(v, 0) | 1 << i
+    full = (1 << len(supports)) - 1
+    # compat[i]: the indices after i whose supports miss supports[i]
+    compat = [
+        full & ~reduce(or_, (holders[v] for v in supp), (2 << i) - 1)
+        for i, supp in enumerate(supports)
+    ]
     chosen: list[int] = []
-    used: set[int] = set()
-    idx = 0
-    while True:
-        if idx < m and (size is None or len(chosen) + m - idx >= size):
-            a, b = edges[idx]
-            idx += 1
-            if a in used or b in used:
-                continue
-            chosen.append(idx - 1)
-            if size is None or len(chosen) == size:
-                yield tuple(chosen)
-            if size is None or len(chosen) < size:
-                used.add(a)
-                used.add(b)
-            else:
+    stack = [full]
+    while stack:
+        cands = stack[-1]
+        if not cands or (size is not None and len(chosen) + cands.bit_count() < size):
+            stack.pop()
+            if chosen:
                 chosen.pop()
-        elif chosen:
-            idx = chosen.pop()
-            a, b = edges[idx]
-            used.discard(a)
-            used.discard(b)
-            idx += 1
+            continue
+        bit = cands & -cands
+        stack[-1] = cands ^ bit
+        i = bit.bit_length() - 1
+        chosen.append(i)
+        if size is None or len(chosen) == size:
+            yield tuple(chosen)
+        if size is None or len(chosen) < size:
+            stack.append(cands & compat[i])
         else:
-            return
+            chosen.pop()
 
 
 def enumerate_matchings(D: WeightedOrientedGraph, k: int) -> list[Matching]:
@@ -248,7 +259,7 @@ def enumerate_matchings(D: WeightedOrientedGraph, k: int) -> list[Matching]:
     if k < 0:
         raise ValueError("k must be >= 0")
     edges = D.underlying_edges
-    return [Matching(tuple(edges[i] for i in m)) for m in _matchings(edges, k)]
+    return [Matching(tuple(edges[i] for i in m)) for m in _disjoint_sets(edges, k)]
 
 
 class _Forest:

@@ -32,7 +32,7 @@ from .generate import (
     forest_edge_sets,
     random_simple_graph,
 )
-from .graphs import WeightedOrientedGraph, _matchings, is_strong_edge, matching_number
+from .graphs import WeightedOrientedGraph, _disjoint_sets, is_strong_edge, matching_number
 from .monomials import Monomial, MonomialIdeal
 from .powers import _matching_products, matching_power_from_matchings
 from .serialize import graph_to_doc
@@ -353,12 +353,19 @@ def verify_thm11_exhaustive(max_n: int = 7, workers: Optional[int] = None) -> di
     }
 
 
+def _require_max_n(max_n: int, lowest: int) -> None:
+    """A random campaign draws n from lowest..max_n, so it needs max_n >= lowest."""
+    if max_n < lowest:
+        raise ValueError(f"max_n must be at least {lowest} for this campaign, got {max_n}")
+
+
 def verify_thm11_random(trials: int = 500, max_n: int = 9, seed: int = 42) -> dict[str, Any]:
     """Exchange property of the last power on seeded random graphs.
 
     Edgeless draws are redrawn on the same stream so every trial carries at
     least one edge; edge probability alternates over {0.2, 0.4} by draw.
     """
+    _require_max_n(max_n, 2)
     started = time.perf_counter()
     rng = SplitMix64(seed)
     failures: list[dict[str, Any]] = []
@@ -414,7 +421,7 @@ def _thm34_forest_task(args: tuple[int, tuple, int, int, int]) -> dict[str, Any]
     caps = OracleCaps(betti_cap, exch_cap)
     agg = _agg_zero()
     by_size: list[list[tuple[int, ...]]] = [[]]
-    for mt in _matchings(underlying):
+    for mt in _disjoint_sets(underlying):
         if len(mt) == len(by_size):
             by_size.append([])
         by_size[len(mt)].append(mt)
@@ -537,6 +544,7 @@ def verify_thm34_random(
     caps: OracleCaps = OracleCaps(),
 ) -> dict[str, Any]:
     """Cross-validation of seeded random weighted oriented forests."""
+    _require_max_n(max_n, 2)
     started = time.perf_counter()
     rng = SplitMix64(seed)
     reports = []
@@ -580,6 +588,7 @@ def verify_lemma22(
 
     Pairs whose powers vanish or exceed the Betti cap are redrawn.
     """
+    _require_max_n(max_n, 5)
     started = time.perf_counter()
     rng = SplitMix64(seed)
     failures = []
@@ -633,6 +642,8 @@ def verify_lemma22(
         "command": "lemma22",
         "pairs": pairs,
         "seed": seed,
+        "max_n": max_n,
+        "max_weight": max_weight,
         "failures": failures,
         "reports": reports,
         "elapsed_s": round(time.perf_counter() - started, 3),

@@ -5,13 +5,17 @@ pairwise disjoint supports; it suffices to multiply minimal generators, since
 every monomial of I is divisible by a minimal generator with smaller support.
 For an edge ideal the generators correspond to k-matchings of the underlying
 graph (two routes that the test suite checks against each other).
+
+Both routes, and :func:`monomial_grade` and :func:`decompose_generator`, run
+one search: :func:`graphs._disjoint_sets`, an iterative walk over index
+tuples of pairwise disjoint supports (generator variables, or edge endpoints).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
-from .graphs import Matching, WeightedOrientedGraph, _matchings
+from .graphs import Matching, WeightedOrientedGraph, _disjoint_sets
 from .monomials import Monomial, MonomialIdeal, minimalize
 
 __all__ = [
@@ -58,57 +62,23 @@ def matching_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
         return MonomialIdeal.zero(I.n)
     if I.is_unit():
         return MonomialIdeal.unit(I.n)
-    gens = I.gens
-    compat = _disjointness(gens)
-    products: list[Monomial] = []
-    exps = [0] * I.n
-
-    def extend(cands: int, depth: int) -> None:
-        if depth == k:
-            products.append(Monomial(tuple(exps)))
-            return
-        c = cands
-        while c:
-            bit = c & -c
-            c ^= bit
-            if depth + 1 + c.bit_count() < k:
-                break  # candidates are visited in ascending order
-            i = bit.bit_length() - 1
-            gexp = gens[i].exponents
-            for p, e in enumerate(gexp):
-                exps[p] += e
-            extend(cands & compat[i], depth + 1)
-            for p, e in enumerate(gexp):
-                exps[p] -= e
-
-    start = (1 << len(gens)) - 1
-    extend(start, 0)
+    gens = [g.exponents for g in I.gens]
+    products = (
+        Monomial(tuple(map(sum, zip(*(gens[i] for i in t)))))
+        for t in _disjoint_sets(_supports(I), k)
+    )
     return minimalize(products, I.n)
 
 
-def _disjointness(gens: tuple[Monomial, ...]) -> list[int]:
-    """Bit j of entry i is set when j > i and generators i, j have disjoint
-    supports.  Matching products are the cliques of this graph, found by
-    candidate-set intersection rather than by scanning all k-subsets."""
-    masks = []
-    for g in gens:
-        m = 0
-        for i, e in enumerate(g.exponents):
-            if e:
-                m |= 1 << i
-        masks.append(m)
-    compat = [0] * len(gens)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not masks[i] & masks[j]:
-                compat[i] |= 1 << j
-    return compat
+def _supports(I: MonomialIdeal) -> list[list[int]]:
+    """The variables of each generator."""
+    return [[i for i, e in enumerate(g.exponents) if e] for g in I.gens]
 
 
 def _matching_products(
     n: int,
-    directed: list[tuple[int, int]],
-    weights: list[int],
+    directed: Sequence[tuple[int, int]],
+    weights: Sequence[int],
     matchings: Iterable[tuple[int, ...]],
 ) -> set[tuple[int, ...]]:
     """Exponent vectors of the edge-monomial products of the given matchings.
@@ -139,7 +109,7 @@ def matching_power_from_matchings(D: WeightedOrientedGraph, k: int) -> MonomialI
         return MonomialIdeal.unit(D.n)
     edges = D.underlying_edges
     directed = [D.orientation(a, b) for a, b in edges]
-    products = _matching_products(D.n, directed, [1, *D.weights], _matchings(edges, k))
+    products = _matching_products(D.n, directed, [1, *D.weights], _disjoint_sets(edges, k))
     return minimalize((Monomial(e) for e in products), D.n)
 
 
@@ -149,23 +119,16 @@ def monomial_grade(I: MonomialIdeal) -> int:
         raise ValueError("the zero ideal has no monomial grade")
     if I.is_unit():
         raise ValueError("the unit ideal has unbounded monomial grade")
-    compat = _disjointness(I.gens)
-
-    best = 0
-
-    def extend(cands: int, depth: int) -> None:
-        nonlocal best
-        best = max(best, depth)
-        c = cands
-        while c:
-            bit = c & -c
-            c ^= bit
-            if depth + 1 + c.bit_count() <= best:
-                break
-            i = bit.bit_length() - 1
-            extend(cands & compat[i], depth + 1)
-
-    extend((1 << len(compat)) - 1, 0)
+    supports = _supports(I)
+    # a greedy pick in index order is a lower bound; raise it while the
+    # search finds a larger set
+    best, taken = 0, set()
+    for supp in supports:
+        if taken.isdisjoint(supp):
+            taken.update(supp)
+            best += 1
+    while next(_disjoint_sets(supports, best + 1), None) is not None:
+        best += 1
     return best
 
 
@@ -187,7 +150,7 @@ def decompose_generator(D: WeightedOrientedGraph, u: Monomial, k: int) -> Matchi
         if all(edge_monomial(D, e).exponents[v - 1] == u.exponents[v - 1] for v in e)
     ]
     if 2 * k == sum(1 for e in u.exponents if e):
-        for m in _matchings(tuple(edges[i] for i in fits), k):
+        for m in _disjoint_sets([edges[i] for i in fits], k):
             return Matching(tuple(edges[fits[i]] for i in m))
     raise ValueError(f"{u} has no decomposition into {k} disjoint edge monomials")
 

@@ -165,6 +165,32 @@ def test_verify_honours_zero_options(capsys):
     assert json.loads(capsys.readouterr().out)["configurations_checked"] == 0
 
 
+@pytest.mark.parametrize(
+    "theorem, lowest", [("thm11", 2), ("thm34", 2), ("lemma22", 5)]
+)
+def test_random_campaigns_reject_max_n_below_their_lowest_draw(theorem, lowest, capsys):
+    args = ["verify", theorem, "--trials", "2", "--pairs", "2"]
+    assert main([*args, "--max-n", str(lowest - 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"max_n must be at least {lowest}" in err and f"got {lowest - 1}" in err
+
+
+def test_verify_lemma22_passes_max_n_and_max_weight(capsys):
+    args = ["verify", "lemma22", "--pairs", "2", "--max-n", "5", "--max-weight", "2"]
+    assert main(args) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["max_n"], summary["max_weight"]) == (5, 2)
+
+
+def test_power_of_a_large_perfect_matching(tmp_path, capsys):
+    path = tmp_path / "pm2000.json"
+    D = WeightedOrientedGraph.build(2000, [(2 * i + 1, 2 * i + 2) for i in range(1000)])
+    save_graph(D, path)
+    out = tmp_path / "power.json"
+    assert main(["power", str(path), "--k", "1000", "--ideal-out", str(out)]) == 0
+    assert load_ideal(out).gens == (Monomial((1,) * 2000),)
+
+
 def test_enumerate_command(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["enumerate", "--nu", "1", "--budget", "4", "--out", str(out_dir)]) == 0

@@ -25,7 +25,7 @@ from matchpow.generate import (
     forest_edge_sets,
     random_simple_graph,
 )
-from matchpow.graphs import _Forest, _blossom_nu, _matchings
+from matchpow.graphs import _Forest, _blossom_nu, _disjoint_sets
 from matchpow.harness import _max_matching_supports
 
 
@@ -105,6 +105,24 @@ def test_matching_number_examples():
     assert matching_number(WeightedOrientedGraph.build(3, [])) == 0
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_disjoint_sets_are_every_disjoint_subset_in_lexicographic_order(seed):
+    rng = SplitMix64(seed)
+    supports = [
+        {v for v in range(7) if rng.randrange(3) == 0} for _ in range(rng.randint(0, 9))
+    ]
+    every = [
+        combo
+        for r in range(len(supports) + 1)
+        for combo in combinations(range(len(supports)), r)
+        if all(supports[i].isdisjoint(supports[j]) for i, j in combinations(combo, 2))
+    ]
+    # tuples sort lexicographically with every prefix before its extensions
+    assert list(_disjoint_sets(supports)) == sorted(every)
+    for size in range(len(supports) + 2):
+        assert list(_disjoint_sets(supports, size)) == [c for c in every if len(c) == size]
+
+
 def test_forest_fast_path_agrees_with_search_on_500_random_forests():
     rng = SplitMix64(2024)
     for _ in range(500):
@@ -120,7 +138,7 @@ def test_forest_engine_matches_search_on_every_forest_up_to_seven_vertices():
             D = WeightedOrientedGraph.build(n, edges)
             # nu, nu(D - v) for every v, and the maximum matchings, from the
             # list of all matchings
-            every = list(_matchings(edges))
+            every = list(_disjoint_sets(edges))
             nu = max(len(m) for m in every)
             nu_without = [0] * (n + 1)
             maxes = []
@@ -190,7 +208,7 @@ def test_matching_number_on_nonforest():
 
 def _brute_nu(n, edges):
     """Oracle: the size of the largest matching in the list of all of them."""
-    return max(len(m) for m in _matchings(tuple(edges)))
+    return max(len(m) for m in _disjoint_sets(edges))
 
 
 def test_blossom_matches_brute_force_on_every_graph_up_to_six_vertices():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,6 +100,48 @@ def test_matching_power_disjoint_support_scan():
     I = ideal(5, (1, 0, 2, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 1))
     # only the pairs avoiding the shared variable x3 survive
     assert matching_power(I, 2) == ideal(5, (1, 0, 2, 1, 1), (0, 1, 1, 1, 1))
+
+
+def _brute_matching_power(I, k):
+    """Oracle: products of every k generators with pairwise disjoint supports."""
+    supports = [frozenset(i for i, e in enumerate(g.exponents) if e) for g in I.gens]
+    products = []
+    for combo in itertools.combinations(range(len(I.gens)), k):
+        if all(supports[i].isdisjoint(supports[j]) for i, j in itertools.combinations(combo, 2)):
+            acc = Monomial.one(I.n)
+            for i in combo:
+                acc = acc * I.gens[i]
+            products.append(acc)
+    return MonomialIdeal.from_monomials(I.n, products)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matching_power_matches_bruteforce_on_general_ideals(seed):
+    # not edge ideals: supports of any size that overlap, exponents up to 3
+    rng = SplitMix64(5000 + seed)
+    n = rng.randint(3, 8)
+    gens = []
+    for _ in range(rng.randint(2, 9)):
+        exps = tuple(rng.randint(1, 3) if rng.randrange(3) == 0 else 0 for _ in range(n))
+        if any(exps):
+            gens.append(Monomial(exps))
+    if not gens:
+        return
+    I = MonomialIdeal.from_monomials(n, gens)
+    for k in range(5):
+        assert matching_power(I, k) == _brute_matching_power(I, k)
+    grade = max(k for k in range(1, len(I.gens) + 1) if not _brute_matching_power(I, k).is_zero())
+    assert monomial_grade(I) == grade
+
+
+def test_matching_power_of_a_large_perfect_matching():
+    # 1,000 disjoint edges: the search runs 1,000 levels deep on its own stack
+    D = WeightedOrientedGraph.build(2000, [(2 * i + 1, 2 * i + 2) for i in range(1000)])
+    I = edge_ideal(D)
+    P = matching_power(I, 1000)
+    assert P.gens == (m(*[1] * 2000),)
+    assert monomial_grade(I) == 1000
+    assert matching_power(I, 1001).is_zero()
 
 
 def test_matching_power_conventions():
