@@ -9,16 +9,29 @@ conditions, splitting into a star factorization or a two-part decomposition
 depending on whether deleting {b, c} kills the next power.  Every run returns
 a certificate that :func:`verify_certificate` can replay by recomputing both
 sides of each claimed factorization from scratch.
+
+Each level's structural choices (the matching number, the distant
+configuration, whether its pendant edge is strong, the star test and the
+subforests that come next) depend on the underlying forest only, so the
+classifier plans, then evaluates.  A :class:`ForestPlan` holds one node per
+subforest reached, each built by one engine pass the first time an evaluation
+needs it; :func:`evaluate_plan` walks the plan for one orientation and
+weighting, on an explicit stack, and applies the weight and orientation
+conditions and the two bases.  :func:`classify_last_power` is a fresh plan
+plus one evaluation; the thm34 campaign shares one plan among every
+orientation and weighting of a forest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Generator, Optional, Union
+from itertools import filterfalse
+from typing import Optional, Sequence, Union
 
 from .exchange import is_polymatroidal
 from .graphs import (
     DistantConfig,
+    FindResult,
     IsolatedEdge,
     WeightedOrientedGraph,
     _Forest,
@@ -42,6 +55,8 @@ __all__ = [
     "ClassificationCertificate",
     "strong_edge_criterion",
     "classify_last_power",
+    "ForestPlan",
+    "evaluate_plan",
     "verify_certificate",
 ]
 
@@ -219,135 +234,222 @@ def classify_last_power(D: WeightedOrientedGraph) -> ClassificationCertificate:
     """Certificate for: the top matching power of the edge ideal is polymatroidal.
 
     Requires a normalized weighted oriented forest.  Edgeless graphs are
-    refuted (there is no power to classify).
+    refuted (there is no power to classify).  Runs a fresh plan of the
+    underlying forest and one evaluation against it.
     """
     if not is_forest(D):
         raise ValueError("classification requires a forest")
     if not D.is_normalized():
         raise ValueError("sources must have weight 1; call normalize_sources first")
-    return _classify(D.n, D.edges, D.weights)
+    return evaluate_plan(ForestPlan(D.n, D.edges), D.edges, (1, *D.weights))
 
-
-# The classifier runs on plain directed-edge tuples: the verdict only depends
-# on the surviving edges and the weight vector (isolated vertices carry no
-# information), which also lets distinct deletion paths share memo entries.
 
 Edges = tuple[tuple[int, int], ...]
-# A level yields (edges of a subforest, its expected matching number), is
-# sent the subforest's certificate, and returns its own certificate with its
-# matching number (None if it made no engine pass).
-Done = tuple[ClassificationCertificate, Optional[int]]
-Level = Generator[tuple[Edges, int], ClassificationCertificate, Done]
+_UNWEIGHTED = ClassificationCertificate(True, UnweightedBaseNode())
+_NO_EDGES = ClassificationCertificate(False, RefutedNode("no_edges", ()))
 
 
-def _classify(n: int, edges: Edges, weights: tuple[int, ...]) -> ClassificationCertificate:
-    """Run the levels on an explicit stack, one entry per level in progress,
-    memoising each finished level by its edge tuple."""
-    memo: dict[Edges, Done] = {}
-    stack: list[tuple[Edges, Level]] = [(edges, _level(n, edges, weights, None))]
-    reply: Optional[ClassificationCertificate] = None
-    while True:
-        key, level = stack[-1]
-        try:
-            sub, nu_sub = level.send(reply)
-        except StopIteration as done:
-            memo[key] = done.value
-            reply = done.value[0]
-            stack.pop()
-            if not stack:
-                return reply
-            continue
-        hit = memo.get(sub)
-        if hit is None:
-            reply = None
-            stack.append((sub, _level(n, sub, weights, nu_sub)))
+class _PlanNode:
+    """One subforest of a plan: ``ids`` index the plan's edge list.
+
+    ``config`` is None on the bases (``nu`` <= 1).  Otherwise ``factor`` says
+    whether an isolated or strong pendant edge factors out (one child);
+    if not, ``star`` is the star test and ``pendants`` and ``bridge`` are the
+    ids of the configuration's pendant edges (in leaf order) and of the
+    centre-anchor edge.  Child k is the subforest without the vertices
+    ``drops[k]``; ``kids[k]`` holds it once an evaluation has reached it.
+    """
+
+    __slots__ = ("ids", "nu", "config", "factor", "star", "pendants", "bridge", "drops", "kids")
+
+    def __init__(self, plan: ForestPlan, ids: tuple[int, ...]) -> None:
+        self.ids = ids
+        self.config: Optional[FindResult] = None
+        if not ids:
+            self.nu = 0
+            return
+        # one engine pass; the node keeps only what the evaluation reads
+        forest = _Forest(plan.n, tuple(map(plan.edges.__getitem__, ids)))
+        self.nu = forest.nu
+        if self.nu == 1:
+            return
+        config = self.config = forest.distant()
+        if isinstance(config, IsolatedEdge):
+            self.factor, self.drops = True, ((config.a, config.b),)
         else:
-            reply, nu_hit = hit
-            assert nu_hit is None or nu_hit == nu_sub
+            b, c = config.center, config.anchor
+            a0 = config.leaves[0]
+            # a0 is a leaf, so the pendant edge a0b lies in every maximum
+            # matching (is strong) exactly when a0 is always covered
+            self.factor = config.t == 1 and forest.covered(a0)
+            if self.factor:
+                self.drops = ((a0, b),)
+            else:
+                # Star case: nu(D - b - c) < nu(D - b) = nu - 1, that is, c is
+                # covered by every maximum matching of D - b.  The centre b is
+                # always covered and is matched to one of its leaves whenever
+                # c is exposed, so that holds exactly when c is always covered
+                # in D.
+                self.star = forest.covered(c)
+                self.drops = ((b,), (b, c))
+                at_b = {}  # neighbour of b -> id of its edge to b
+                for i in plan.incident[b]:
+                    t, h = plan.edges[i]
+                    at_b[t + h - b] = i
+                self.pendants = tuple(at_b[a] for a in config.leaves)
+                self.bridge = at_b[c]
+        self.kids: list[Optional[_PlanNode]] = [None] * len(self.drops)
 
 
-def _drop(edges: Edges, gone: tuple[int, ...]) -> Edges:
-    return tuple(e for e in edges if e[0] not in gone and e[1] not in gone)
+class ForestPlan:
+    """The structural half of the classifier for one forest on labels 1..n.
+
+    ``edges`` are the forest's edges in either orientation; an instance is
+    evaluated (:func:`evaluate_plan`) with an orientation of each.  Nodes are
+    keyed by the ids of their edges, in increasing order, and built the first
+    time an evaluation reaches them: refuted instances stop after a few
+    levels, and a large forest has exponentially many reachable subforests.
+    Building a child checks that its matching number is one below its
+    parent's.  ``nu_one`` keeps the verdicts of the matching-number-one base
+    by generator tuple.
+    """
+
+    __slots__ = ("n", "edges", "incident", "nodes", "root", "nu_one")
+
+    def __init__(self, n: int, edges: Edges) -> None:
+        self.n, self.edges = n, tuple(edges)
+        self.incident: list[list[int]] = [[] for _ in range(n + 1)]  # vertex -> edge ids
+        for i, (t, h) in enumerate(self.edges):
+            self.incident[t].append(i)
+            self.incident[h].append(i)
+        self.nodes: dict[tuple[int, ...], _PlanNode] = {}
+        self.nu_one: dict[tuple[tuple[int, ...], ...], bool] = {}
+        self.root = self._node(tuple(range(len(self.edges))))
+
+    def _node(self, ids: tuple[int, ...]) -> _PlanNode:
+        node = self.nodes.get(ids)
+        if node is None:
+            node = self.nodes[ids] = _PlanNode(self, ids)
+        return node
+
+    def _child(self, node: _PlanNode, k: int) -> _PlanNode:
+        kid = node.kids[k]
+        if kid is None:
+            dead = {i for v in node.drops[k] for i in self.incident[v]}
+            kid = self._node(tuple(filterfalse(dead.__contains__, node.ids)))
+            # every subforest a level asks for has matching number one lower
+            assert kid.nu == node.nu - 1, f"child {kid.ids} of {node.ids} has nu {kid.nu}"
+            node.kids[k] = kid
+        return kid
 
 
-def _level(n: int, edges: Edges, weights: tuple[int, ...], nu_expected: Optional[int]) -> Level:
-    """One classification level: one engine pass over ``edges``, then the
-    subforests it needs, child without the centre first."""
-    # Every subforest a level asks for has matching number one lower.  The
-    # unweighted base makes no engine pass, so its matching number goes
-    # unchecked (None).
-    if not edges:
-        assert not nu_expected
-        return ClassificationCertificate(False, RefutedNode("no_edges", ())), 0
-    # non-sources are exactly the heads of surviving edges
-    if all(weights[h - 1] == 1 for _, h in edges):
-        return ClassificationCertificate(True, UnweightedBaseNode()), None
-    forest = _Forest(n, edges)
-    nu = forest.nu
-    assert nu_expected is None or nu == nu_expected
-    if nu == 1:
+def evaluate_plan(
+    plan: ForestPlan, directed: Sequence[tuple[int, int]], weights: Sequence[int]
+) -> ClassificationCertificate:
+    """The certificate of one weighted orientation of the plan's forest.
+
+    ``directed[i]`` is the (tail, head) form of ``plan.edges[i]`` and
+    ``weights[v]`` the weight of vertex v (index 0 unused); sources must have
+    weight 1, which the caller checks.  The levels run on an explicit stack,
+    one entry per level in progress, and a subforest reached twice is
+    certified once.
+    """
+    # ids of the edges whose head is weighted: a subforest without any of
+    # them is the unweighted base (its non-sources are the heads of its edges)
+    heavy = {i for i, (_, h) in enumerate(directed) if weights[h] != 1}
+    root = plan.root
+    if _unweighted(root, heavy):
+        return _UNWEIGHTED
+    done: dict[_PlanNode, ClassificationCertificate] = {}
+    stack = [root]
+    while True:
+        node = stack[-1]
+        out = _certify(plan, node, directed, weights, done)
+        if type(out) is _PlanNode:
+            # each subforest meets this test once: it is then done or stacked
+            if _unweighted(out, heavy):
+                done[out] = _UNWEIGHTED
+            else:
+                stack.append(out)
+            continue
+        done[node] = out
+        stack.pop()
+        if not stack:
+            return out
+
+
+def _unweighted(node: _PlanNode, heavy: set[int]) -> bool:
+    return bool(node.ids) and heavy.isdisjoint(node.ids)
+
+
+def _certify(
+    plan: ForestPlan,
+    node: _PlanNode,
+    directed: Sequence[tuple[int, int]],
+    weights: Sequence[int],
+    done: dict[_PlanNode, ClassificationCertificate],
+) -> Union[ClassificationCertificate, _PlanNode]:
+    """One level: the node's certificate, or the first child it still needs
+    (the child without the centre before the one without centre and anchor)."""
+    config = node.config
+    if config is None:
+        if not node.nu:
+            return _NO_EDGES
         # no edge monomial divides another: the products are the generators
-        products = _matching_products(n, edges, (1, *weights), ((i,) for i in range(len(edges))))
-        ok = is_polymatroidal(MonomialIdeal(n, tuple(map(Monomial, sorted(products)))))
-        return ClassificationCertificate(ok, NuOneBaseNode(ok)), nu
+        n = plan.n
+        gens = tuple(sorted(_matching_products(n, directed, weights, ((i,) for i in node.ids))))
+        ok = plan.nu_one.get(gens)
+        if ok is None:
+            ok = plan.nu_one[gens] = is_polymatroidal(MonomialIdeal(n, tuple(map(Monomial, gens))))
+        return ClassificationCertificate(ok, NuOneBaseNode(ok))
 
-    # The engine arrays are dropped before each yield, so a deep stack of
-    # suspended levels holds only their edge tuples.
-    config = forest.distant()
-    if isinstance(config, IsolatedEdge):
-        del forest
-        a, b = config.a, config.b
-        child = yield _drop(edges, (a, b)), nu - 1
-        return ClassificationCertificate(child.verdict, IsolatedEdgeNode((a, b), child)), nu
-
-    b, c = config.center, config.anchor
-    if config.t == 1:
-        a0 = config.leaves[0]
-        # a0 is a leaf, so the pendant edge a0b lies in every maximum
-        # matching (is strong) exactly when a0 is always covered
-        if forest.covered(a0):
-            del forest
-            child = yield _drop(edges, (a0, b)), nu - 1
-            return ClassificationCertificate(child.verdict, StrongEdgeNode(config, child)), nu
+    if node.factor:
+        child = plan._child(node, 0)
+        cert = done.get(child)
+        if cert is None:
+            return child
+        if isinstance(config, IsolatedEdge):
+            return ClassificationCertificate(
+                cert.verdict, IsolatedEdgeNode((config.a, config.b), cert)
+            )
+        return ClassificationCertificate(cert.verdict, StrongEdgeNode(config, cert))
 
     # pendant leaves must be weightless
     for a in config.leaves:
-        if weights[a - 1] != 1:
-            return ClassificationCertificate(False, RefutedNode("leaf_weight", (a,))), nu
+        if weights[a] != 1:
+            return ClassificationCertificate(False, RefutedNode("leaf_weight", (a,)))
+    b, c = config.center, config.anchor
+    child_b = plan._child(node, 0)
+    cert_b = done.get(child_b)
+    if cert_b is None:
+        return child_b
+    if not cert_b.verdict:
+        return ClassificationCertificate(False, RefutedNode("child_power", (b,), cert_b))
 
-    # Star case: nu(D - b - c) < nu(D - b) = nu - 1, that is, c is covered by
-    # every maximum matching of D - b.  The centre b is always covered and is
-    # matched to one of its leaves whenever c is exposed, so that holds
-    # exactly when c is always covered in D.
-    star = forest.covered(c)
-    del forest
-    child_b = yield _drop(edges, (b,)), nu - 1
-    if not child_b.verdict:
-        return ClassificationCertificate(False, RefutedNode("child_power", (b,), child_b)), nu
-
-    edge_set = set(edges)
-    deltas = {weights[b - 1] if (a, b) in edge_set else 1 for a in config.leaves}
-    if star:
+    wb = weights[b]
+    deltas = {wb if directed[i][1] == b else 1 for i in node.pendants}
+    if node.star:
         # the power without centre and anchor vanishes
         if len(deltas) > 1:
-            cert = ClassificationCertificate(False, RefutedNode("pendant_exponent", config.leaves))
-            return cert, nu
-        return ClassificationCertificate(True, StarFactorNode(config, deltas.pop(), child_b)), nu
+            return ClassificationCertificate(False, RefutedNode("pendant_exponent", config.leaves))
+        return ClassificationCertificate(True, StarFactorNode(config, deltas.pop(), cert_b))
 
     # split case: the centre exponent must be w(b) throughout, the anchor must
     # be weightless, and the bridge monomial must be x_c * x_b^{w(b)}
-    if deltas != {weights[b - 1]}:
-        cert = ClassificationCertificate(False, RefutedNode("pendant_exponent", config.leaves))
-        return cert, nu
-    if weights[c - 1] != 1:
-        return ClassificationCertificate(False, RefutedNode("bridge_shape", (c,))), nu
+    if deltas != {wb}:
+        return ClassificationCertificate(False, RefutedNode("pendant_exponent", config.leaves))
+    if weights[c] != 1:
+        return ClassificationCertificate(False, RefutedNode("bridge_shape", (c,)))
     # with w(c) = 1 both orientations give x_b x_c; otherwise (c, b) is forced
-    if (c, b) not in edge_set and weights[b - 1] != 1:
-        return ClassificationCertificate(False, RefutedNode("bridge_shape", (b, c))), nu
-    child_bc = yield _drop(edges, (b, c)), nu - 1
-    if not child_bc.verdict:
-        return ClassificationCertificate(False, RefutedNode("child_power", (b, c), child_bc)), nu
-    return ClassificationCertificate(True, StarSplitNode(config, child_b, child_bc)), nu
+    if directed[node.bridge][1] != b and wb != 1:
+        return ClassificationCertificate(False, RefutedNode("bridge_shape", (b, c)))
+    child_bc = plan._child(node, 1)
+    cert_bc = done.get(child_bc)
+    if cert_bc is None:
+        return child_bc
+    if not cert_bc.verdict:
+        return ClassificationCertificate(False, RefutedNode("child_power", (b, c), cert_bc))
+    return ClassificationCertificate(True, StarSplitNode(config, cert_b, cert_bc))
 
 
 # ---------------------------------------------------------------------------

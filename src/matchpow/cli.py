@@ -170,7 +170,7 @@ def _cmd_verify(args) -> int:
             summary = verify_thm11_exhaustive(workers=args.workers, **_given(args, "max_n"))
             reports = []
         else:
-            summary = verify_thm11_random(seed=args.seed, **_given(args, "trials", "max_n"))
+            summary = verify_thm11_random(**_given(args, "trials", "max_n", "seed"))
             reports = summary.pop("reports", [])
         _write_reports(args.out, reports)
         _emit(summary)
@@ -188,7 +188,7 @@ def _cmd_verify(args) -> int:
             )
             return 0 if ok else 1
         summary = verify_thm34_random(
-            seed=args.seed, caps=caps, **_given(args, "trials", "max_n", "max_weight")
+            caps=caps, **_given(args, "trials", "max_n", "max_weight", "seed")
         )
         reports = [r.to_doc() for r in summary.pop("reports", [])]
         _write_reports(args.out, reports)
@@ -196,7 +196,7 @@ def _cmd_verify(args) -> int:
         return 0 if not summary["disagreements"] else 1
     if args.theorem == "lemma22":
         summary = verify_lemma22(
-            args.pairs, args.seed, caps=caps, **_given(args, "max_n", "max_weight")
+            args.pairs, caps=caps, **_given(args, "max_n", "max_weight", "seed")
         )
         reports = summary.pop("reports", [])
         _write_reports(args.out, reports)
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, dest="max_n")
     p.add_argument("--max-weight", type=int, dest="max_weight")
     p.add_argument("--pairs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write line-delimited report documents here")
     p.set_defaults(fn=_cmd_verify)
 

@@ -5,7 +5,9 @@ weighted oriented forest: linearly related and linear resolution from the
 Betti machinery, polymatroidal from the exchange check, and the recursive
 classifier.  Exhaustive drivers stream labelled instances, cache oracle
 verdicts by a permutation-canonical form of the generator set (verdicts are
-invariant under relabelling variables), and fan out across processes.
+invariant under relabelling variables), and fan out across processes.  The
+thm34 campaign plans the classifier once per labelled forest and evaluates
+every orientation and weighting of it against that plan.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .betti import (
     has_linear_resolution,
     is_linearly_related,
 )
-from .classify import classify_last_power
+from .classify import ForestPlan, classify_last_power, evaluate_plan
 from .exchange import is_polymatroidal
 from .generate import (
     SplitMix64,
@@ -32,7 +34,13 @@ from .generate import (
     forest_edge_sets,
     random_simple_graph,
 )
-from .graphs import WeightedOrientedGraph, _disjoint_sets, is_strong_edge, matching_number
+from .graphs import (
+    WeightedOrientedGraph,
+    _disjoint_sets,
+    is_forest,
+    is_strong_edge,
+    matching_number,
+)
 from .monomials import Monomial, MonomialIdeal
 from .powers import _matching_products, matching_power_from_matchings
 from .serialize import graph_to_doc
@@ -416,6 +424,14 @@ def _agg_zero() -> dict[str, Any]:
 _DUMP_LIMIT = 25  # replayable instance docs kept per aggregate
 
 
+def _instance_doc(n: int, directed: list[tuple[int, int]], weights: list[int]) -> dict[str, Any]:
+    """The graph document of one thm34 instance (``weights[v]`` is w(v))."""
+    vertices = tuple(range(1, n + 1))
+    return graph_to_doc(
+        WeightedOrientedGraph(n, tuple(sorted(directed)), tuple(weights[1:]), vertices)
+    )
+
+
 def _thm34_forest_task(args: tuple[int, tuple, int, int, int]) -> dict[str, Any]:
     n, underlying, w_max, betti_cap, exch_cap = args
     caps = OracleCaps(betti_cap, exch_cap)
@@ -430,13 +446,17 @@ def _thm34_forest_task(args: tuple[int, tuple, int, int, int]) -> dict[str, Any]
         return agg
     m = len(underlying)
     vertices = tuple(range(1, n + 1))
+    if not is_forest(WeightedOrientedGraph(n, underlying, (1,) * n, vertices)):
+        raise ValueError("classification requires a forest")
+    # one classifier plan serves every orientation and weighting of the forest
+    plan = ForestPlan(n, underlying)
     for orient_mask in range(1 << m):
         directed = [
             underlying[i] if orient_mask >> i & 1 == 0 else (underlying[i][1], underlying[i][0])
             for i in range(m)
         ]
-        sorted_edges = tuple(sorted(directed))
         heads = sorted({h for _, h in directed})
+        sources = [v for v in vertices if v not in heads]
         weights = [1] * (n + 1)
         for combo in product(range(1, w_max + 1), repeat=len(heads)):
             if all(w == 1 for w in combo):
@@ -449,8 +469,9 @@ def _thm34_forest_task(args: tuple[int, tuple, int, int, int]) -> dict[str, Any]
             a, b, c = _oracle_abc(gens_nu, caps)
             if b is None or c is None:
                 agg["skipped_oracle"] += 1
-            D = WeightedOrientedGraph(n, sorted_edges, tuple(weights[1:]), vertices)
-            d = classify_last_power(D).verdict
+            if any(weights[v] != 1 for v in sources):
+                raise ValueError("sources must have weight 1")
+            d = evaluate_plan(plan, directed, weights).verdict
             known = {v for v in (a, b, c, d) if v is not None}
             agg["instances"] += 1
             if len(known) > 1:
@@ -458,7 +479,7 @@ def _thm34_forest_task(args: tuple[int, tuple, int, int, int]) -> dict[str, Any]
                 if len(agg["disagreements"]) < _DUMP_LIMIT:
                     agg["disagreements"].append(
                         {
-                            "graph": graph_to_doc(D),
+                            "graph": _instance_doc(n, directed, weights),
                             "verdicts": {
                                 "linearly_related": a,
                                 "polymatroidal": b,
@@ -470,19 +491,21 @@ def _thm34_forest_task(args: tuple[int, tuple, int, int, int]) -> dict[str, Any]
             if a:
                 agg["constant_degree_checked"] += 1
                 if not _constant_degree_ok(gens_nu):
-                    agg["constant_degree_violations"].append({"graph": graph_to_doc(D)})
+                    agg["constant_degree_violations"].append(
+                        {"graph": _instance_doc(n, directed, weights)}
+                    )
             for k in range(1, nu):
                 gens_k = tuple(sorted(_matching_products(n, directed, weights, by_size[k])))
                 lr = _oracle_linrel(gens_k)
                 agg["low_power_checked"] += 1
                 if lr:
                     agg["low_power_violations"].append(
-                        {"graph": graph_to_doc(D), "k": k}
+                        {"graph": _instance_doc(n, directed, weights), "k": k}
                     )
                     agg["constant_degree_checked"] += 1
                     if not _constant_degree_ok(gens_k):
                         agg["constant_degree_violations"].append(
-                            {"graph": graph_to_doc(D), "k": k}
+                            {"graph": _instance_doc(n, directed, weights), "k": k}
                         )
             for h in heads:
                 weights[h] = 1

@@ -112,11 +112,16 @@ def minimalize(candidates: Iterable[Monomial], n: int) -> "MonomialIdeal":
         if m.exponents not in seen:
             seen.add(m.exponents)
             unique.append(m)
-    # A divisor has strictly smaller total degree, except for equality.
-    unique.sort(key=lambda m: (m.degree, m.exponents))
+    # A divisor has strictly smaller total degree, except for equality, so a
+    # candidate is tested only against the kept generators of lower degree:
+    # in degree order, the first ``lower`` of them.
+    ranked = sorted((m.degree, m.exponents, m) for m in unique)
     kept: list[Monomial] = []
-    for m in unique:
-        if not any(g.divides(m) for g in kept if g.degree < m.degree):
+    lower, degree = 0, None
+    for d, _, m in ranked:
+        if d != degree:
+            lower, degree = len(kept), d
+        if not any(g.divides(m) for g in kept[:lower]):
             kept.append(m)
     kept.sort(key=lambda m: m.exponents)
     return MonomialIdeal(n, tuple(kept))

@@ -1,4 +1,5 @@
 from dataclasses import make_dataclass
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,8 @@ from matchpow.classify import (
     StrongEdgeNode,
     UnweightedBaseNode,
 )
-from matchpow.generate import SplitMix64, build_random_forest, enumerate_forests
+from matchpow.generate import SplitMix64, build_random_forest, enumerate_forests, forest_edge_sets
+from matchpow.harness import _thm34_forest_task
 from matchpow.serialize import certificate_from_doc, certificate_to_doc
 
 
@@ -354,3 +356,84 @@ def test_one_engine_pass_per_level(monkeypatch):
         # levels that ran the engine: each memo entry once, base cases without
         # a matching number excluded
         assert len(passes) == len(set(passes)) > 1
+
+
+# -- plan and evaluation ---------------------------------------------------------
+
+
+def _instances(n, underlying, max_weight=3):
+    """(directed, weights) of every orientation and weighting the thm34
+    campaign draws for one labelled forest: non-source weights up to
+    max_weight, not all 1; ``weights[v]`` is w(v)."""
+    m = len(underlying)
+    for mask in range(1 << m):
+        directed = [e if mask >> i & 1 == 0 else e[::-1] for i, e in enumerate(underlying)]
+        heads = sorted({h for _, h in directed})
+        for combo in product(range(1, max_weight + 1), repeat=len(heads)):
+            if any(w > 1 for w in combo):
+                weights = [1] * (n + 1)
+                for h, w in zip(heads, combo):
+                    weights[h] = w
+                yield directed, weights
+
+
+def _graph(n, directed, weights):
+    vertices = tuple(range(1, n + 1))
+    return WeightedOrientedGraph(n, tuple(sorted(directed)), tuple(weights[1:]), vertices)
+
+
+def test_one_engine_pass_per_reachable_subforest_in_a_thm34_task(monkeypatch):
+    passes = []
+
+    class Counting(classify._Forest):
+        __slots__ = ()
+
+        def __init__(self, n, edges):
+            passes.append(frozenset(map(frozenset, edges)))
+            super().__init__(n, edges)
+
+    monkeypatch.setattr(classify, "_Forest", Counting)
+    double_star = ((1, 3), (2, 3), (3, 4), (4, 5), (4, 6))
+    p6 = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
+    for underlying in (double_star, p6):
+        passes.clear()
+        agg = _thm34_forest_task((6, underlying, 3, 14, 4000))
+        task = list(passes)
+        # the same instances one by one, each with a fresh plan
+        passes.clear()
+        for directed, weights in _instances(6, underlying):
+            classify_last_power(_graph(6, directed, weights))
+        per_instance = list(passes)
+        assert len(task) == len(set(task)) == len(set(per_instance)) > 1
+        assert set(task) == set(per_instance)
+        assert len(per_instance) > 10 * len(task)
+        assert agg["instances"] > 10 * len(task)
+
+
+def test_a_shared_plan_certifies_as_a_fresh_one():
+    count = 0
+    for n in range(2, 5):
+        for underlying in forest_edge_sets(n):
+            plan = classify.ForestPlan(n, underlying)
+            for directed, weights in _instances(n, underlying):
+                cert = classify.evaluate_plan(plan, directed, weights)
+                fresh = classify_last_power(_graph(n, directed, weights))
+                assert certificate_to_doc(cert) == certificate_to_doc(fresh)
+                count += 1
+    assert count > 1000
+
+
+def test_plan_checks_each_childs_matching_number():
+    # the strong pendant edge 12 of P4 leaves the unweighted edge 34 (id 2)
+    D = path_graph(4, {2: 2})
+    cert = classify_last_power(D)
+    assert isinstance(cert.trace.child.trace, UnweightedBaseNode)
+    weights = (1, *D.weights)
+    forged_parent = classify.ForestPlan(D.n, D.edges)
+    forged_parent.root.nu = 3
+    forged_child = classify.ForestPlan(D.n, D.edges)
+    forged_child.nodes[(2,)] = classify._PlanNode(forged_child, ())  # claims nu 0
+    for plan in (forged_parent, forged_child):
+        with pytest.raises(AssertionError):
+            classify.evaluate_plan(plan, D.edges, weights)
+    assert classify.evaluate_plan(classify.ForestPlan(D.n, D.edges), D.edges, weights) == cert

@@ -175,6 +175,17 @@ def test_random_campaigns_reject_max_n_below_their_lowest_draw(theorem, lowest, 
     assert f"max_n must be at least {lowest}" in err and f"got {lowest - 1}" in err
 
 
+def test_verify_keeps_each_campaigns_default_seed(capsys):
+    assert main(["verify", "thm34", "--trials", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 1
+    assert main(["verify", "lemma22", "--pairs", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+    assert main(["verify", "thm11", "--trials", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 42
+    assert main(["verify", "thm34", "--trials", "0", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+
 def test_verify_lemma22_passes_max_n_and_max_weight(capsys):
     args = ["verify", "lemma22", "--pairs", "2", "--max-n", "5", "--max-weight", "2"]
     assert main(args) == 0

@@ -1,9 +1,12 @@
+import pytest
+
 from conftest import seven_vertex_example
 from matchpow import OracleCaps, WeightedOrientedGraph, cross_validate
 from matchpow.harness import (
     _canonical_key,
     _oracle_abc,
     _oracle_linrel,
+    _thm34_forest_task,
     _max_matching_supports,
     verify_lemma22,
     verify_lemma31,
@@ -131,3 +134,8 @@ def test_lemma31_scan():
     summary = verify_lemma31(max_n=5)
     assert summary["mismatches"] == []
     assert summary["configurations_checked"] > 100
+
+
+def test_thm34_task_rejects_a_cycle():
+    with pytest.raises(ValueError, match="forest"):
+        _thm34_forest_task((4, ((1, 2), (1, 4), (2, 3), (3, 4)), 3, 14, 4000))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchpow import Monomial, MonomialIdeal, minimalize
+from matchpow.generate import SplitMix64
 
 
 def m(*exps):
@@ -50,6 +51,24 @@ def test_minimalize_examples():
 def test_minimalize_rejects_wrong_length():
     with pytest.raises(ValueError):
         minimalize([m(1, 0)], 3)
+
+
+def test_minimalize_matches_the_pairwise_definition():
+    # a generator is a distinct candidate that no other candidate divides;
+    # the corpus mixes degrees and exponents up to 3, duplicates included
+    rng = SplitMix64(23)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        cands = [
+            m(*(rng.randint(0, 3) for _ in range(n))) for _ in range(rng.randint(0, 14))
+        ]
+        distinct = set(c.exponents for c in cands)
+        expected = sorted(
+            e
+            for e in distinct
+            if not any(f != e and all(a <= b for a, b in zip(f, e)) for f in distinct)
+        )
+        assert [g.exponents for g in minimalize(cands, n).gens] == expected
 
 
 @st.composite
