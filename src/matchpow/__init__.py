@@ -49,7 +49,7 @@ from .graphs import (
     matching_number,
     maximum_matchings,
 )
-from .harness import OracleCaps, TrialReport, cross_validate
+from .harness import TrialReport, cross_validate
 from .monomials import Monomial, MonomialIdeal, minimalize
 from .powers import (
     decompose_generator,

@@ -27,7 +27,6 @@ from .exchange import check_exchange
 from .generate import construct_linear_forests
 from .graphs import matching_number
 from .harness import (
-    OracleCaps,
     verify_lemma22,
     verify_lemma31,
     verify_thm11_exhaustive,
@@ -52,6 +51,48 @@ USAGE_ERROR = 2
 def _emit(doc: Any) -> None:
     json.dump(doc, sys.stdout, indent=2, default=str)
     sys.stdout.write("\n")
+
+
+def _json_members(container: Any, pad: str):
+    """(text before it, member) for each member of a nonempty JSON container."""
+    sep = pad
+    if isinstance(container, dict):
+        for key, value in container.items():
+            # json's rule for keys: a string as it is, a scalar by its JSON text
+            yield sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", value
+            sep = "," + pad
+    else:
+        for value in container:
+            yield sep, value
+            sep = "," + pad
+
+
+def _json_text(doc: Any) -> str:
+    """``json.dumps(doc, indent=2)`` on an explicit stack: a certificate nests
+    two objects per classifier level, deeper than ``json.dumps`` can recurse
+    on long paths."""
+    parts: list[str] = []
+    stack = []  # (members left, closing text) per open container
+    value = doc
+    while True:
+        if isinstance(value, (dict, list, tuple)) and value:
+            pad = "\n" + "  " * len(stack)
+            brackets = "{}" if isinstance(value, dict) else "[]"
+            parts.append(brackets[0])
+            stack.append((_json_members(value, pad + "  "), pad + brackets[1]))
+        else:
+            parts.append(json.dumps(value))
+        while stack:
+            members, closing = stack[-1]
+            member = next(members, None)
+            if member is not None:
+                parts.append(member[0])
+                value = member[1]
+                break
+            parts.append(closing)
+            stack.pop()
+        else:
+            return "".join(parts)
 
 
 def _load_graph_normalized(path: str):
@@ -83,7 +124,7 @@ def _cmd_classify(args) -> int:
     cert = classify_last_power(D)
     if args.certificate:
         Path(args.certificate).write_text(
-            json.dumps(certificate_to_doc(cert), indent=2) + "\n", encoding="utf-8"
+            _json_text(certificate_to_doc(cert)) + "\n", encoding="utf-8"
         )
     replay = None
     if args.verify:
@@ -164,7 +205,6 @@ def _given(args, *names: str) -> dict[str, Any]:
 
 
 def _cmd_verify(args) -> int:
-    caps = OracleCaps()
     if args.theorem == "thm11":
         if args.exhaustive:
             summary = verify_thm11_exhaustive(workers=args.workers, **_given(args, "max_n"))
@@ -178,7 +218,7 @@ def _cmd_verify(args) -> int:
     if args.theorem == "thm34":
         if args.exhaustive:
             summary = verify_thm34_exhaustive(
-                workers=args.workers, caps=caps, **_given(args, "max_n", "max_weight")
+                workers=args.workers, **_given(args, "max_n", "max_weight")
             )
             _write_reports(args.out, summary.get("disagreements", []))
             _emit(summary)
@@ -187,17 +227,13 @@ def _cmd_verify(args) -> int:
                 ("disagreement_count", "low_power_violations", "constant_degree_violations"),
             )
             return 0 if ok else 1
-        summary = verify_thm34_random(
-            caps=caps, **_given(args, "trials", "max_n", "max_weight", "seed")
-        )
+        summary = verify_thm34_random(**_given(args, "trials", "max_n", "max_weight", "seed"))
         reports = [r.to_doc() for r in summary.pop("reports", [])]
         _write_reports(args.out, reports)
         _emit(summary)
         return 0 if not summary["disagreements"] else 1
     if args.theorem == "lemma22":
-        summary = verify_lemma22(
-            args.pairs, caps=caps, **_given(args, "max_n", "max_weight", "seed")
-        )
+        summary = verify_lemma22(args.pairs, **_given(args, "max_n", "max_weight", "seed"))
         reports = summary.pop("reports", [])
         _write_reports(args.out, reports)
         _emit(summary)

@@ -3,11 +3,15 @@
 Every trial computes up to four verdicts for the last matching power of a
 weighted oriented forest: linearly related and linear resolution from the
 Betti machinery, polymatroidal from the exchange check, and the recursive
-classifier.  Exhaustive drivers stream labelled instances, cache oracle
-verdicts by a permutation-canonical form of the generator set (verdicts are
-invariant under relabelling variables), and fan out across processes.  The
-thm34 campaign plans the classifier once per labelled forest and evaluates
-every orientation and weighting of it against that plan.
+classifier.  Every campaign reads the three oracle verdicts of a power from
+one memo, :func:`_oracles`.  Verdicts are invariant under relabelling
+variables, so the memo holds each answer under the exact generator tuple and
+under a permutation-canonical form of it; the oracles run once per canonical
+form.  The caps are the oracles' own: the Betti table's generator cap and a
+fixed number of exchange pairs, so no cap state enters the memo.  Exhaustive
+drivers stream labelled instances and fan out across processes.  The thm34
+campaign plans the classifier once per labelled forest and evaluates every
+orientation and weighting of it against that plan.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Any, Optional
 
 from .betti import (
     DEFAULT_GENERATOR_CAP,
+    GeneratorCapError,
     betti_numbers,
     has_linear_resolution,
     is_linearly_related,
@@ -46,7 +51,6 @@ from .powers import _matching_products, matching_power_from_matchings
 from .serialize import graph_to_doc
 
 __all__ = [
-    "OracleCaps",
     "TrialReport",
     "worker_count",
     "cross_validate",
@@ -61,25 +65,12 @@ __all__ = [
 WORKERS_ENV = "MATCHPOW_WORKERS"
 
 
-@dataclass(frozen=True)
-class OracleCaps:
-    """Resource caps; oracles above them are skipped and counted, never faked."""
-
-    betti_max_generators: int = DEFAULT_GENERATOR_CAP
-    exchange_max_pairs: int = 4000
-
-    def runs(self, g: int) -> tuple[bool, bool]:
-        """Whether the exchange check and the Betti table run on g generators."""
-        return g * (g - 1) <= self.exchange_max_pairs, g <= self.betti_max_generators
-
-
 @dataclass
 class TrialReport:
-    """One cross-validated instance: verdicts, timings, and the agreement flag."""
+    """One cross-validated instance: verdicts and the agreement flag."""
 
     instance: dict[str, Any]
     verdicts: dict[str, Optional[bool]]
-    timings: dict[str, float]
     agreement: bool
     skipped: tuple[str, ...] = ()
 
@@ -87,7 +78,6 @@ class TrialReport:
         return {
             "instance": self.instance,
             "verdicts": self.verdicts,
-            "timings": {k: round(v, 6) for k, v in self.timings.items()},
             "agreement": self.agreement,
             "skipped": list(self.skipped),
         }
@@ -117,10 +107,11 @@ def _run_tasks(fn, tasks, workers: int, chunksize: int = 1):
 # ---------------------------------------------------------------------------
 
 _CANON_LIMIT = 720  # fall back to the identity column order beyond this
+_EXCHANGE_MAX_PAIRS = 4000  # the exchange check is skipped above this many pairs
 
-_exact_keys: dict[tuple, tuple] = {}
-_verdict_cache: dict[tuple, tuple] = {}
-_linrel_cache: dict[tuple, bool] = {}
+# generator tuple -> (linearly_related, polymatroidal, linear_resolution); a
+# tuple is held both exactly and in canonical form, since either names its ideal
+_verdicts: dict[tuple, tuple] = {}
 
 
 def _canonical_key(gens: tuple[tuple[int, ...], ...]) -> tuple:
@@ -163,45 +154,30 @@ def _ideal_from_key(key: tuple) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(Monomial(g) for g in key))
 
 
-def _canonical(gens: tuple[tuple[int, ...], ...]) -> tuple:
-    key = _exact_keys.get(gens)
-    if key is None:
-        key = _exact_keys[gens] = _canonical_key(gens)
-    return key
-
-
-def _oracle_abc(
-    gens: tuple[tuple[int, ...], ...], caps: OracleCaps
+def _oracles(
+    gens: tuple[tuple[int, ...], ...],
 ) -> tuple[Optional[bool], Optional[bool], Optional[bool]]:
-    """(linearly_related, polymatroidal, linear_resolution); None when capped."""
+    """(linearly_related, polymatroidal, linear_resolution) of the ideal with
+    the given sorted generator exponents; None where an oracle's cap applies."""
+    hit = _verdicts.get(gens)
+    if hit is not None:
+        return hit
     if len({sum(g) for g in gens}) > 1:
         # mixed generation degrees: all three predicates are False outright
         return (False, False, False)
-    key = _canonical(gens)
-    # the caps decide which verdicts are computed, so they are part of the key
-    run_b, run_c = caps.runs(len(key))
-    slot = (key, run_b, run_c)
-    hit = _verdict_cache.get(slot)
-    if hit is not None:
-        return hit
-    I = _ideal_from_key(key)
-    b = is_polymatroidal(I) if run_b else None
-    a = is_linearly_related(I)
-    c = has_linear_resolution(I) if run_c else None
-    result = (a, b, c)
-    _verdict_cache[slot] = result
+    key = _canonical_key(gens)
+    result = _verdicts.get(key)
+    if result is None:
+        I = _ideal_from_key(key)
+        g = len(key)
+        b = is_polymatroidal(I) if g * (g - 1) <= _EXCHANGE_MAX_PAIRS else None
+        try:
+            c = has_linear_resolution(I)
+        except GeneratorCapError:
+            c = None
+        result = _verdicts[key] = (is_linearly_related(I), b, c)
+    _verdicts[gens] = result
     return result
-
-
-def _oracle_linrel(gens: tuple[tuple[int, ...], ...]) -> bool:
-    if len({sum(g) for g in gens}) > 1:
-        return False
-    key = _canonical(gens)
-    hit = _linrel_cache.get(key)
-    if hit is None:
-        hit = is_linearly_related(_ideal_from_key(key))
-        _linrel_cache[key] = hit
-    return hit
 
 
 def _constant_degree_ok(gens: tuple[tuple[int, ...], ...]) -> bool:
@@ -221,11 +197,9 @@ def _constant_degree_ok(gens: tuple[tuple[int, ...], ...]) -> bool:
 
 
 def cross_validate(
-    D: WeightedOrientedGraph,
-    caps: OracleCaps = OracleCaps(),
-    instance_info: Optional[dict[str, Any]] = None,
+    D: WeightedOrientedGraph, instance_info: Optional[dict[str, Any]] = None
 ) -> TrialReport:
-    """All four verdicts for the last matching power of D, with timings.
+    """All four verdicts for the last matching power of D.
 
     Oracles above their caps are skipped (verdict None, listed in
     ``skipped``); the agreement flag covers the verdicts actually computed.
@@ -233,42 +207,20 @@ def cross_validate(
     nu = matching_number(D)
     if nu < 1:
         raise ValueError("cross-validation needs at least one edge")
-    verdicts: dict[str, Optional[bool]] = {}
-    timings: dict[str, float] = {}
-    skipped: list[str] = []
-
-    t0 = time.perf_counter()
     I = matching_power_from_matchings(D, nu)
-    timings["power"] = time.perf_counter() - t0
-
-    run_b, run_c = caps.runs(len(I.gens))
-    t0 = time.perf_counter()
-    if run_b:
-        verdicts["polymatroidal"] = is_polymatroidal(I)
-    else:
-        verdicts["polymatroidal"] = None
-        skipped.append("polymatroidal")
-    timings["polymatroidal"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    verdicts["linearly_related"] = is_linearly_related(I)
-    if run_c:
-        verdicts["linear_resolution"] = has_linear_resolution(I)
-    else:
-        verdicts["linear_resolution"] = None
-        skipped.append("linear_resolution")
-    timings["betti"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    verdicts["classifier"] = classify_last_power(D).verdict
-    timings["classifier"] = time.perf_counter() - t0
-
-    known = [v for v in verdicts.values() if v is not None]
-    agreement = len(set(known)) <= 1
+    a, b, c = _oracles(tuple(sorted(g.exponents for g in I.gens)))
+    verdicts = {
+        "polymatroidal": b,
+        "linearly_related": a,
+        "linear_resolution": c,
+        "classifier": classify_last_power(D).verdict,
+    }
+    skipped = tuple(k for k in ("polymatroidal", "linear_resolution") if verdicts[k] is None)
+    agreement = len({v for v in verdicts.values() if v is not None}) <= 1
     info = dict(instance_info or {})
     info["graph"] = graph_to_doc(D)
     info["matching_number"] = nu
-    return TrialReport(info, verdicts, timings, agreement, tuple(skipped))
+    return TrialReport(info, verdicts, agreement, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +313,11 @@ def verify_thm11_exhaustive(max_n: int = 7, workers: Optional[int] = None) -> di
     }
 
 
-def _require_max_n(max_n: int, lowest: int) -> None:
-    """A random campaign draws n from lowest..max_n, so it needs max_n >= lowest."""
-    if max_n < lowest:
-        raise ValueError(f"max_n must be at least {lowest} for this campaign, got {max_n}")
+def _require_at_least(option: str, value: int, lowest: int) -> None:
+    """Below its lowest value an option leaves a campaign an empty range to
+    draw from or nothing to check (random campaigns draw n from lowest..max_n)."""
+    if value < lowest:
+        raise ValueError(f"{option} must be at least {lowest} for this campaign, got {value}")
 
 
 def verify_thm11_random(trials: int = 500, max_n: int = 9, seed: int = 42) -> dict[str, Any]:
@@ -373,7 +326,8 @@ def verify_thm11_random(trials: int = 500, max_n: int = 9, seed: int = 42) -> di
     Edgeless draws are redrawn on the same stream so every trial carries at
     least one edge; edge probability alternates over {0.2, 0.4} by draw.
     """
-    _require_max_n(max_n, 2)
+    _require_at_least("trials", trials, 0)
+    _require_at_least("max_n", max_n, 2)
     started = time.perf_counter()
     rng = SplitMix64(seed)
     failures: list[dict[str, Any]] = []
@@ -432,9 +386,8 @@ def _instance_doc(n: int, directed: list[tuple[int, int]], weights: list[int]) -
     )
 
 
-def _thm34_forest_task(args: tuple[int, tuple, int, int, int]) -> dict[str, Any]:
-    n, underlying, w_max, betti_cap, exch_cap = args
-    caps = OracleCaps(betti_cap, exch_cap)
+def _thm34_forest_task(args: tuple[int, tuple, int]) -> dict[str, Any]:
+    n, underlying, w_max = args
     agg = _agg_zero()
     by_size: list[list[tuple[int, ...]]] = [[]]
     for mt in _disjoint_sets(underlying):
@@ -466,7 +419,7 @@ def _thm34_forest_task(args: tuple[int, tuple, int, int, int]) -> dict[str, Any]
             # one product divides another only on equal supports, and a forest
             # has at most one perfect matching on a vertex set: no minimalizing
             gens_nu = tuple(sorted(_matching_products(n, directed, weights, by_size[nu])))
-            a, b, c = _oracle_abc(gens_nu, caps)
+            a, b, c = _oracles(gens_nu)
             if b is None or c is None:
                 agg["skipped_oracle"] += 1
             if any(weights[v] != 1 for v in sources):
@@ -496,7 +449,7 @@ def _thm34_forest_task(args: tuple[int, tuple, int, int, int]) -> dict[str, Any]
                     )
             for k in range(1, nu):
                 gens_k = tuple(sorted(_matching_products(n, directed, weights, by_size[k])))
-                lr = _oracle_linrel(gens_k)
+                lr = _oracles(gens_k)[0]
                 agg["low_power_checked"] += 1
                 if lr:
                     agg["low_power_violations"].append(
@@ -531,7 +484,6 @@ def verify_thm34_exhaustive(
     max_n: int = 6,
     max_weight: int = 3,
     workers: Optional[int] = None,
-    caps: OracleCaps = OracleCaps(),
 ) -> dict[str, Any]:
     """Equivalence of all four verdicts over every labelled weighted oriented
     forest on 2..max_n vertices with non-source weights up to max_weight,
@@ -539,11 +491,13 @@ def verify_thm34_exhaustive(
 
     Also verifies that no matching power below the top one is linearly
     related, and the constant-exponent property on linearly related powers.
+    At max_weight 1 every instance is unweighted and skipped, so it needs 2.
     """
+    _require_at_least("max_weight", max_weight, 2)
     w = worker_count(workers)
     started = time.perf_counter()
     tasks = [
-        (n, underlying, max_weight, caps.betti_max_generators, caps.exchange_max_pairs)
+        (n, underlying, max_weight)
         for n in range(2, max_n + 1)
         for underlying in forest_edge_sets(n)
         if underlying
@@ -564,10 +518,11 @@ def verify_thm34_random(
     seed: int = 1,
     max_n: int = 8,
     max_weight: int = 3,
-    caps: OracleCaps = OracleCaps(),
 ) -> dict[str, Any]:
     """Cross-validation of seeded random weighted oriented forests."""
-    _require_max_n(max_n, 2)
+    _require_at_least("trials", trials, 0)
+    _require_at_least("max_n", max_n, 2)
+    _require_at_least("max_weight", max_weight, 1)
     started = time.perf_counter()
     rng = SplitMix64(seed)
     reports = []
@@ -578,7 +533,7 @@ def verify_thm34_random(
             D = build_random_forest(n, max_weight, rng)
             if D.underlying_edges:
                 break
-        report = cross_validate(D, caps, {"index": idx, "seed": seed})
+        report = cross_validate(D, {"index": idx, "seed": seed})
         reports.append(report)
         if not report.agreement:
             disagreements.append(report.to_doc())
@@ -604,14 +559,15 @@ def verify_lemma22(
     seed: int = 7,
     max_n: int = 7,
     max_weight: int = 3,
-    caps: OracleCaps = OracleCaps(),
 ) -> dict[str, Any]:
     """Entrywise Betti monotonicity and regularity monotonicity for induced
     subgraphs: beta_{i,a} of the subgraph power never exceeds the full one.
 
     Pairs whose powers vanish or exceed the Betti cap are redrawn.
     """
-    _require_max_n(max_n, 5)
+    _require_at_least("pairs", pairs, 0)
+    _require_at_least("max_n", max_n, 5)
+    _require_at_least("max_weight", max_weight, 1)
     started = time.perf_counter()
     rng = SplitMix64(seed)
     failures = []
@@ -637,10 +593,7 @@ def verify_lemma22(
             I = matching_power_from_matchings(D, k)
             if len(I.gens) < 2:
                 continue
-            if (
-                len(I.gens) > caps.betti_max_generators
-                or len(Ip.gens) > caps.betti_max_generators
-            ):
+            if max(len(I.gens), len(Ip.gens)) > DEFAULT_GENERATOR_CAP:
                 continue
             break
         table = betti_numbers(I)

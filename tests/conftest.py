@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 from matchpow import WeightedOrientedGraph
 
@@ -69,3 +69,25 @@ def oriented_weighted_isomorphic(D1: WeightedOrientedGraph, D2: WeightedOriented
         if all((mapping[t], mapping[h]) in edge_set2 for t, h in D1.edges):
             return True
     return False
+
+
+def thm34_instances(n, underlying, max_weight=3):
+    """(directed, weights) of every orientation and weighting the thm34
+    campaign draws for one labelled forest: non-source weights up to
+    max_weight, not all 1; ``weights[v]`` is w(v)."""
+    m = len(underlying)
+    for mask in range(1 << m):
+        directed = [e if mask >> i & 1 == 0 else e[::-1] for i, e in enumerate(underlying)]
+        heads = sorted({h for _, h in directed})
+        for combo in product(range(1, max_weight + 1), repeat=len(heads)):
+            if any(w > 1 for w in combo):
+                weights = [1] * (n + 1)
+                for h, w in zip(heads, combo):
+                    weights[h] = w
+                yield directed, weights
+
+
+def thm34_graph(n, directed, weights):
+    """The graph of one ``thm34_instances`` draw."""
+    vertices = tuple(range(1, n + 1))
+    return WeightedOrientedGraph(n, tuple(sorted(directed)), tuple(weights[1:]), vertices)

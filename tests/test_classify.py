@@ -1,11 +1,10 @@
 from dataclasses import make_dataclass
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import in_star, seven_vertex_example, path_graph
+from conftest import in_star, path_graph, seven_vertex_example, thm34_graph, thm34_instances
 from matchpow import (
     DistantConfig,
     Monomial,
@@ -361,27 +360,6 @@ def test_one_engine_pass_per_level(monkeypatch):
 # -- plan and evaluation ---------------------------------------------------------
 
 
-def _instances(n, underlying, max_weight=3):
-    """(directed, weights) of every orientation and weighting the thm34
-    campaign draws for one labelled forest: non-source weights up to
-    max_weight, not all 1; ``weights[v]`` is w(v)."""
-    m = len(underlying)
-    for mask in range(1 << m):
-        directed = [e if mask >> i & 1 == 0 else e[::-1] for i, e in enumerate(underlying)]
-        heads = sorted({h for _, h in directed})
-        for combo in product(range(1, max_weight + 1), repeat=len(heads)):
-            if any(w > 1 for w in combo):
-                weights = [1] * (n + 1)
-                for h, w in zip(heads, combo):
-                    weights[h] = w
-                yield directed, weights
-
-
-def _graph(n, directed, weights):
-    vertices = tuple(range(1, n + 1))
-    return WeightedOrientedGraph(n, tuple(sorted(directed)), tuple(weights[1:]), vertices)
-
-
 def test_one_engine_pass_per_reachable_subforest_in_a_thm34_task(monkeypatch):
     passes = []
 
@@ -397,12 +375,12 @@ def test_one_engine_pass_per_reachable_subforest_in_a_thm34_task(monkeypatch):
     p6 = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
     for underlying in (double_star, p6):
         passes.clear()
-        agg = _thm34_forest_task((6, underlying, 3, 14, 4000))
+        agg = _thm34_forest_task((6, underlying, 3))
         task = list(passes)
         # the same instances one by one, each with a fresh plan
         passes.clear()
-        for directed, weights in _instances(6, underlying):
-            classify_last_power(_graph(6, directed, weights))
+        for directed, weights in thm34_instances(6, underlying):
+            classify_last_power(thm34_graph(6, directed, weights))
         per_instance = list(passes)
         assert len(task) == len(set(task)) == len(set(per_instance)) > 1
         assert set(task) == set(per_instance)
@@ -415,9 +393,9 @@ def test_a_shared_plan_certifies_as_a_fresh_one():
     for n in range(2, 5):
         for underlying in forest_edge_sets(n):
             plan = classify.ForestPlan(n, underlying)
-            for directed, weights in _instances(n, underlying):
+            for directed, weights in thm34_instances(n, underlying):
                 cert = classify.evaluate_plan(plan, directed, weights)
-                fresh = classify_last_power(_graph(n, directed, weights))
+                fresh = classify_last_power(thm34_graph(n, directed, weights))
                 assert certificate_to_doc(cert) == certificate_to_doc(fresh)
                 count += 1
     assert count > 1000

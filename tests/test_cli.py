@@ -1,14 +1,18 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import seven_vertex_example, path_graph
+import matchpow
 from matchpow import WeightedOrientedGraph
 from matchpow import cli
 from matchpow.cli import main
-from matchpow.serialize import save_graph, save_ideal, load_ideal
+from matchpow.classify import classify_last_power
+from matchpow.serialize import certificate_to_doc, save_graph, save_ideal, load_ideal
 from matchpow import Monomial, MonomialIdeal
 
 
@@ -175,6 +179,23 @@ def test_random_campaigns_reject_max_n_below_their_lowest_draw(theorem, lowest, 
     assert f"max_n must be at least {lowest}" in err and f"got {lowest - 1}" in err
 
 
+@pytest.mark.parametrize(
+    "args, option, lowest",
+    [
+        (["thm34", "--exhaustive", "--max-weight", "1"], "max_weight", 2),
+        (["thm34", "--trials", "3", "--max-weight", "0"], "max_weight", 1),
+        (["lemma22", "--max-weight", "0"], "max_weight", 1),
+        (["thm34", "--trials", "-3"], "trials", 0),
+        (["thm11", "--trials", "-3"], "trials", 0),
+        (["lemma22", "--pairs", "-3"], "pairs", 0),
+    ],
+)
+def test_verify_rejects_options_that_leave_nothing_to_check(args, option, lowest, capsys):
+    assert main(["verify", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} must be at least {lowest}") and err.count("\n") == 1
+
+
 def test_verify_keeps_each_campaigns_default_seed(capsys):
     assert main(["verify", "thm34", "--trials", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 1
@@ -244,6 +265,28 @@ def test_classify_thousand_vertex_path_exits_0(tmp_path, capsys):
     assert out["matching_number"] == 500
 
 
+def test_certificate_file_is_json_dumps_text(tmp_path, capsys):
+    D = path_graph(800, {800: 2})
+    save_graph(D, tmp_path / "path.json")
+    cert_path = tmp_path / "cert.json"
+    assert main(["classify", str(tmp_path / "path.json"), "--certificate", str(cert_path)]) == 0
+    doc = certificate_to_doc(classify_last_power(D))
+    assert cert_path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+
+
+def test_certificate_of_a_two_thousand_vertex_path_exits_0(tmp_path, capsys):
+    D = path_graph(2000, {2000: 2})
+    save_graph(D, tmp_path / "path.json")
+    cert_path = tmp_path / "cert.json"
+    assert main(["classify", str(tmp_path / "path.json"), "--certificate", str(cert_path)]) == 0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)  # json.loads and == recurse once per nested object
+    try:
+        assert json.loads(cert_path.read_text()) == certificate_to_doc(classify_last_power(D))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_malformed_config_value_exits_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     args = ["--config", str(config), "verify", "lemma31", "--max-n", "3"]
@@ -256,10 +299,14 @@ def test_malformed_config_value_exits_2(tmp_path, capsys):
 
 
 def test_cli_entrypoint_subprocess(seven_vertex_file):
+    # the child imports the package under test, wherever pytest found it
+    src = str(Path(matchpow.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "matchpow.cli", "classify", seven_vertex_file],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["polymatroidal_last_power"] is True

@@ -1,11 +1,27 @@
+from itertools import combinations
+from math import factorial
+
 import pytest
 
-from conftest import seven_vertex_example
-from matchpow import OracleCaps, WeightedOrientedGraph, cross_validate
+from conftest import in_star, seven_vertex_example, thm34_graph, thm34_instances
+from matchpow import (
+    GeneratorCapError,
+    Monomial,
+    MonomialIdeal,
+    WeightedOrientedGraph,
+    cross_validate,
+    has_linear_resolution,
+    is_linearly_related,
+    is_polymatroidal,
+    matching_number,
+    matching_power_from_matchings,
+)
+from matchpow import harness
+from matchpow.generate import forest_edge_sets
 from matchpow.harness import (
+    _CANON_LIMIT,
     _canonical_key,
-    _oracle_abc,
-    _oracle_linrel,
+    _oracles,
     _thm34_forest_task,
     _max_matching_supports,
     verify_lemma22,
@@ -35,15 +51,52 @@ def test_canonical_key_is_relabelling_invariant():
     assert _canonical_key(gens) == _canonical_key(padded)
 
 
-def test_oracle_cache_does_not_leak_across_caps():
-    p4 = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1))
-    tight = OracleCaps(betti_max_generators=1)
-    # either order must give each caps its own answer; linear relations
-    # read pairwise lcms only and are never capped
-    assert _oracle_abc(p4, tight) == (True, False, None)
-    assert _oracle_abc(p4, OracleCaps()) == (True, False, True)
-    assert _oracle_abc(p4, tight) == (True, False, None)
-    assert _oracle_linrel(p4) is True
+def _direct(I):
+    """The three oracles run on the ideal itself, with no memo."""
+    return is_linearly_related(I), is_polymatroidal(I), has_linear_resolution(I)
+
+
+def _exponents(I):
+    return tuple(sorted(g.exponents for g in I.gens))
+
+
+def test_memo_matches_the_oracles_on_every_thm34_power_up_to_four_vertices(monkeypatch):
+    monkeypatch.setattr(harness, "_verdicts", {})
+    instances = powers = 0
+    for n in range(2, 5):
+        for underlying in forest_edge_sets(n):
+            for directed, weights in thm34_instances(n, underlying):
+                D = thm34_graph(n, directed, weights)
+                nu = matching_number(D)
+                if nu < 2:
+                    break
+                instances += 1
+                for k in range(1, nu + 1):
+                    I = matching_power_from_matchings(D, k)
+                    want = _direct(I)
+                    assert _oracles(_exponents(I)) == want
+                    # relabelling the variables (here: reversing them) keeps the triple
+                    reversed_gens = tuple(sorted(g.exponents[::-1] for g in I.gens))
+                    assert _oracles(reversed_gens) == want
+                    powers += 1
+    assert (instances, powers) == (1728, 3456)
+
+
+def test_memo_falls_back_to_the_identity_order_beyond_the_limit():
+    # seven columns with one exponent multiset: 7! orders, over the limit
+    assert factorial(7) > _CANON_LIMIT
+    gens = tuple(sorted(tuple(int(i in c) for i in range(7)) for c in combinations(range(7), 2)))
+    veronese = MonomialIdeal(7, tuple(Monomial(g) for g in gens))
+    assert _canonical_key(gens) == gens
+    with pytest.raises(GeneratorCapError):
+        has_linear_resolution(veronese)  # 21 generators: over the Betti cap
+    assert _oracles(gens) == (True, True, None)
+    # a relabelled 7-cycle keeps its own key beyond the limit, and its verdicts
+    cycle = tuple(sorted(tuple(int(i in (j, (j + 1) % 7)) for i in range(7)) for j in range(7)))
+    swapped = tuple(sorted((g[2], g[1], g[0], *g[3:]) for g in cycle))
+    assert _canonical_key(swapped) != _canonical_key(cycle)
+    want = _direct(MonomialIdeal(7, tuple(Monomial(g) for g in cycle)))
+    assert _oracles(cycle) == _oracles(swapped) == want
 
 
 def test_max_matching_supports_p4():
@@ -77,10 +130,18 @@ def test_cross_validate_negative_instance():
 
 
 def test_cross_validate_respects_caps():
-    D = seven_vertex_example()
-    tight = OracleCaps(betti_max_generators=1, exchange_max_pairs=1)
-    report = cross_validate(D, caps=tight)
-    assert set(report.skipped) == {"polymatroidal", "linear_resolution"}
+    # 15 generators: over the Betti cap of 14; 15 * 14 exchange pairs run
+    report = cross_validate(in_star(15, 2))
+    assert report.skipped == ("linear_resolution",)
+    assert report.verdicts == {
+        "polymatroidal": True,
+        "linearly_related": True,
+        "linear_resolution": None,
+        "classifier": True,
+    }
+    # 65 * 64 = 4160 exchange pairs: over the cap of 4000 as well
+    report = cross_validate(in_star(65, 2))
+    assert report.skipped == ("polymatroidal", "linear_resolution")
     assert report.verdicts["linearly_related"] is True
     assert report.verdicts["classifier"] is True
     assert report.agreement  # linear relations and the classifier remain
@@ -138,4 +199,4 @@ def test_lemma31_scan():
 
 def test_thm34_task_rejects_a_cycle():
     with pytest.raises(ValueError, match="forest"):
-        _thm34_forest_task((4, ((1, 2), (1, 4), (2, 3), (3, 4)), 3, 14, 4000))
+        _thm34_forest_task((4, ((1, 2), (1, 4), (2, 3), (3, 4)), 3))
