@@ -228,12 +228,12 @@ def _cmd_verify(args) -> int:
             )
             return 0 if ok else 1
         summary = verify_thm34_random(**_given(args, "trials", "max_n", "max_weight", "seed"))
-        reports = [r.to_doc() for r in summary.pop("reports", [])]
+        reports = summary.pop("reports", [])
         _write_reports(args.out, reports)
         _emit(summary)
         return 0 if not summary["disagreements"] else 1
     if args.theorem == "lemma22":
-        summary = verify_lemma22(args.pairs, **_given(args, "max_n", "max_weight", "seed"))
+        summary = verify_lemma22(**_given(args, "pairs", "max_n", "max_weight", "seed"))
         reports = summary.pop("reports", [])
         _write_reports(args.out, reports)
         _emit(summary)
@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="replay the certificate (cost exponential in the matching number)",
+        help="replay the certificate (no depth limit, each power built once, "
+        "but cost exponential in the matching number)",
     )
     p.set_defaults(fn=_cmd_classify)
 
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--max-n", type=int, dest="max_n")
     p.add_argument("--max-weight", type=int, dest="max_weight")
-    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--pairs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write line-delimited report documents here")
     p.set_defaults(fn=_cmd_verify)

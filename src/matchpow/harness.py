@@ -534,9 +534,9 @@ def verify_thm34_random(
             if D.underlying_edges:
                 break
         report = cross_validate(D, {"index": idx, "seed": seed})
-        reports.append(report)
+        reports.append(report.to_doc())
         if not report.agreement:
-            disagreements.append(report.to_doc())
+            disagreements.append(reports[-1])
     return {
         "command": "thm34-random",
         "trials": trials,

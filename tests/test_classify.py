@@ -1,3 +1,5 @@
+import inspect
+import sys
 from dataclasses import make_dataclass
 
 import pytest
@@ -216,6 +218,36 @@ def test_flipped_verdict_fails():
     D = path_graph(4)
     cert = classify_last_power(D)
     assert not verify_certificate(D, ClassificationCertificate(False, cert.trace))
+
+
+def test_replay_of_a_deep_certificate_stays_within_the_recursion_limit():
+    # 150 isolated-edge levels under a recursion limit 100 frames above the
+    # caller: a replay that recurses once per level cannot finish
+    edges = [(2 * i - 1, 2 * i) for i in range(1, 151)]
+    D = WeightedOrientedGraph.build(300, edges, {h: 2 for _, h in edges})
+    cert = classify_last_power(D)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        replayed = verify_certificate(D, cert)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert replayed
+
+
+def test_replay_builds_each_subforests_top_power_once(monkeypatch):
+    D = path_graph(26, {26: 2})
+    cert = classify_last_power(D)
+    subforests = cert._tokens().count(ClassificationCertificate)
+    calls = []
+
+    def counting(I, k):
+        calls.append(k)
+        return matching_power(I, k)
+
+    monkeypatch.setattr(classify, "matching_power", counting)
+    assert verify_certificate(D, cert)
+    assert subforests == 13 and len(calls) <= subforests
 
 
 @given(st.integers(0, 2000))

@@ -207,6 +207,19 @@ def test_verify_keeps_each_campaigns_default_seed(capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 0
 
 
+def test_verify_lemma22_leaves_an_omitted_pairs_to_the_campaign(monkeypatch, capsys):
+    calls = []
+
+    def recording(**kwargs):
+        calls.append(kwargs)
+        return {"failures": [], "reports": []}
+
+    monkeypatch.setattr(cli, "verify_lemma22", recording)
+    assert main(["verify", "lemma22", "--seed", "3"]) == 0
+    assert main(["verify", "lemma22", "--pairs", "0"]) == 0
+    assert calls == [{"seed": 3}, {"pairs": 0}]
+
+
 def test_verify_lemma22_passes_max_n_and_max_weight(capsys):
     args = ["verify", "lemma22", "--pairs", "2", "--max-n", "5", "--max-weight", "2"]
     assert main(args) == 0

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 from math import factorial
 
@@ -181,6 +182,11 @@ def test_thm34_random_small():
     summary = verify_thm34_random(trials=30, seed=5, max_n=6, max_weight=3)
     assert summary["disagreements"] == []
     assert len(summary["reports"]) == 30
+    # JSON documents, like every other campaign's reports
+    assert json.loads(json.dumps(summary["reports"])) == summary["reports"]
+    assert {tuple(r) for r in summary["reports"]} == {
+        ("instance", "verdicts", "agreement", "skipped")
+    }
 
 
 def test_lemma22_small():

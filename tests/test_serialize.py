@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import path_graph, seven_vertex_example
-from matchpow import Monomial, MonomialIdeal, WeightedOrientedGraph, classify_last_power
+from matchpow import (
+    Monomial,
+    MonomialIdeal,
+    WeightedOrientedGraph,
+    classify_last_power,
+    verify_certificate,
+)
+from matchpow.classify import ClassificationCertificate, StarSplitNode
 from matchpow.serialize import (
     certificate_from_doc,
     certificate_to_doc,
@@ -91,6 +98,23 @@ def test_certificate_roundtrip_refuted():
     assert doc["trace"]["kind"] == "refuted"
     assert doc["trace"]["condition"] == "pendant_exponent"
     assert certificate_from_doc(doc) == cert
+
+
+def test_star_split_children_keep_their_order():
+    # both children of the root split differ, so swapping them changes the
+    # certificate; replay hands each child the power built for its subforest
+    D = WeightedOrientedGraph.build(8, [(2, 1), (2, 7), (3, 1), (4, 3), (5, 6), (8, 6)], {6: 2})
+    cert = classify_last_power(D)
+    doc = certificate_to_doc(cert)
+    assert certificate_from_doc(json.loads(json.dumps(doc))) == cert
+    trace = doc["trace"]
+    assert trace["kind"] == "star_split"
+    children = [trace["child_without_center"], trace["child_without_center_anchor"]]
+    assert [c["trace"]["kind"] for c in children] == ["star_split", "isolated_edge"]
+    node = cert.trace
+    swapped = StarSplitNode(node.config, node.child_without_center_anchor, node.child_without_center)
+    assert verify_certificate(D, cert)
+    assert not verify_certificate(D, ClassificationCertificate(True, swapped))
 
 
 def test_certificate_doc_errors():
