@@ -6,9 +6,9 @@ isolated edge or a strong pendant edge factors out as a monomial times the
 power of a smaller forest; otherwise a distant configuration (leaves a_1..a_t
 on a centre b next to an anchor c) must satisfy exact weight and orientation
 conditions, splitting into a star factorization or a two-part decomposition
-depending on whether deleting {b, c} kills the next power.  Every run returns
-a certificate that :func:`verify_certificate` can replay by recomputing both
-sides of each claimed factorization from scratch.
+depending on whether deleting {b, c} kills the next power, down to a star
+decided by its shape (:class:`NuOneBaseNode`).  :func:`verify_certificate`
+replays every certificate with independent machinery, oracles included.
 
 Each level's structural choices (the matching number, the distant
 configuration, whether its pendant edge is strong, the star test and the
@@ -42,7 +42,7 @@ from .graphs import (
     matching_number,
 )
 from .monomials import Monomial, MonomialIdeal
-from .powers import _matching_products, edge_ideal, edge_monomial, matching_power
+from .powers import edge_ideal, edge_monomial, matching_power
 
 __all__ = [
     "UnweightedBaseNode",
@@ -68,7 +68,11 @@ class UnweightedBaseNode:
 
 @dataclass(frozen=True)
 class NuOneBaseNode:
-    """Matching number 1: verdict from the direct exchange check on the edge ideal."""
+    """Matching number 1: a star K_{1,t}, whose edge monomials x_a^p x_b^q
+    (leaf a, centre b) have p = 1, q = w(b) on an edge into b and p = w(a),
+    q = 1 on an edge out.  The ideal is polymatroidal exactly when t = 1, or
+    every p is 1 and all q are equal: lowering x_a can be repaired only by
+    x_{a'}, which needs p = p' = 1 and q = q', or by x_b, which never works."""
 
     polymatroidal: bool
 
@@ -252,7 +256,8 @@ _NO_EDGES = ClassificationCertificate(False, RefutedNode("no_edges", ()))
 class _PlanNode:
     """One subforest of a plan: ``ids`` index the plan's edge list.
 
-    ``config`` is None on the bases (``nu`` <= 1).  Otherwise ``factor`` says
+    ``config`` is None on the bases (``nu`` <= 1); at ``nu`` 1 ``center`` is
+    the star's centre, or None for a single edge.  Otherwise ``factor`` says
     whether an isolated or strong pendant edge factors out (one child);
     if not, ``star`` is the star test and ``pendants`` and ``bridge`` are the
     ids of the configuration's pendant edges (in leaf order) and of the
@@ -260,7 +265,9 @@ class _PlanNode:
     ``drops[k]``; ``kids[k]`` holds it once an evaluation has reached it.
     """
 
-    __slots__ = ("ids", "nu", "config", "factor", "star", "pendants", "bridge", "drops", "kids")
+    __slots__ = (
+        "ids", "nu", "config", "center", "factor", "star", "pendants", "bridge", "drops", "kids"
+    )
 
     def __init__(self, plan: ForestPlan, ids: tuple[int, ...]) -> None:
         self.ids = ids
@@ -272,6 +279,9 @@ class _PlanNode:
         forest = _Forest(plan.n, tuple(map(plan.edges.__getitem__, ids)))
         self.nu = forest.nu
         if self.nu == 1:
+            # a star: its centre is the vertex its first two edges share
+            first = [set(plan.edges[i]) for i in ids[:2]]
+            self.center = (first[0] & first[1]).pop() if len(first) == 2 else None
             return
         config = self.config = forest.distant()
         if isinstance(config, IsolatedEdge):
@@ -310,11 +320,11 @@ class ForestPlan:
     time an evaluation reaches them: refuted instances stop after a few
     levels, and a large forest has exponentially many reachable subforests.
     Building a child checks that its matching number is one below its
-    parent's.  ``nu_one`` keeps the verdicts of the matching-number-one base
-    by generator tuple.
+    parent's.  The plan holds no verdict: the evaluation applies every weight
+    and orientation condition, the star rule included.
     """
 
-    __slots__ = ("n", "edges", "incident", "nodes", "root", "nu_one")
+    __slots__ = ("n", "edges", "incident", "nodes", "root")
 
     def __init__(self, n: int, edges: Edges) -> None:
         self.n, self.edges = n, tuple(edges)
@@ -323,7 +333,6 @@ class ForestPlan:
             self.incident[t].append(i)
             self.incident[h].append(i)
         self.nodes: dict[tuple[int, ...], _PlanNode] = {}
-        self.nu_one: dict[tuple[tuple[int, ...], ...], bool] = {}
         self.root = self._node(tuple(range(len(self.edges))))
 
     def _node(self, ids: tuple[int, ...]) -> _PlanNode:
@@ -395,12 +404,11 @@ def _certify(
     if config is None:
         if not node.nu:
             return _NO_EDGES
-        # no edge monomial divides another: the products are the generators
-        n = plan.n
-        gens = tuple(sorted(_matching_products(n, directed, weights, ((i,) for i in node.ids))))
-        ok = plan.nu_one.get(gens)
-        if ok is None:
-            ok = plan.nu_one[gens] = is_polymatroidal(MonomialIdeal(n, tuple(map(Monomial, gens))))
+        # the star rule: one edge, or one shape (1, q) of every x_a^p x_b^q
+        b = node.center
+        heads = [directed[i][1] for i in node.ids]
+        shapes = {(1, weights[b]) if h == b else (weights[h], 1) for h in heads}
+        ok = b is None or len(shapes) == 1 and shapes.pop()[0] == 1
         return ClassificationCertificate(ok, NuOneBaseNode(ok))
 
     if node.factor:
@@ -481,12 +489,13 @@ def verify_certificate(D: WeightedOrientedGraph, cert: ClassificationCertificate
     Nodes are replayed from a work list, parents before children and the
     child without the centre first, so replay has no depth limit.  A power on
     the right side of a node's equation is the left side of the child it
-    belongs to, so each subforest's top power is built once.  The search
-    behind :func:`matching_power` still walks every smaller matching, so the
-    cost grows exponentially with the matching number: weighted paths of 16,
-    20, 24 and 26 vertices replay in about 1.2, 2.3, 5 and 9 ms on a 2-vCPU
-    Xeon, doubling with each added pair of vertices.  Only the classification
-    itself is linear per level.
+    belongs to, so each subforest's top power is built once, and a star base
+    is checked with the exchange oracle.  The search behind
+    :func:`matching_power` still walks every smaller matching, so the cost
+    grows exponentially with the matching number: weighted paths of 16, 20,
+    24 and 26 vertices replay in about 1.2, 2.3, 5 and 9 ms on a 2-vCPU Xeon,
+    doubling with each added pair of vertices.  Classification, stars
+    included, is linear per level.
     """
     if not isinstance(cert, ClassificationCertificate):
         raise ValueError("not a classification certificate")

@@ -1,9 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / property holds, 1 property violated / negative
-verdict, 2 usage or resource errors.  Worker count comes from --workers, the
-MATCHPOW_WORKERS environment variable, or an optional JSON config file passed
-with --config (flags take precedence over the config file).
+verdict, 2 usage or resource errors.  Worker count comes from --workers or
+the MATCHPOW_WORKERS environment variable (the flag wins).
 """
 
 from __future__ import annotations
@@ -263,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
             "classification, exchange checks, and Betti-number oracles."
         ),
     )
-    parser.add_argument("--config", help="JSON config file with default options")
     parser.add_argument("--workers", type=int, help="process count for verification runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -319,14 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            if args.workers is None and "workers" in config:
-                args.workers = int(config["workers"])
-        except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return USAGE_ERROR
     try:
         return args.fn(args)
     except (GeneratorCapError, ValueError, OSError) as exc:

@@ -31,7 +31,7 @@ from .betti import (
     has_linear_resolution,
     is_linearly_related,
 )
-from .classify import ForestPlan, classify_last_power, evaluate_plan
+from .classify import ForestPlan, classify_last_power, evaluate_plan, strong_edge_criterion
 from .exchange import is_polymatroidal
 from .generate import (
     SplitMix64,
@@ -40,6 +40,7 @@ from .generate import (
     random_simple_graph,
 )
 from .graphs import (
+    DistantConfig,
     WeightedOrientedGraph,
     _disjoint_sets,
     is_forest,
@@ -635,9 +636,6 @@ def verify_lemma31(max_n: int = 6) -> dict[str, Any]:
     """Agreement of the matching-based pendant criterion with the direct
     strong-edge test over every single-pendant configuration of every
     labelled forest with matching number >= 2 on up to max_n vertices."""
-    from .classify import strong_edge_criterion
-    from .graphs import DistantConfig
-
     started = time.perf_counter()
     checked = 0
     mismatches = []

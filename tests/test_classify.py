@@ -1,6 +1,7 @@
 import inspect
 import sys
 from dataclasses import make_dataclass
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from matchpow import (
     strong_edge_criterion,
     verify_certificate,
 )
-from matchpow import classify
+from matchpow import betti, classify, exchange
 from matchpow.classify import (
     ClassificationCertificate,
     IsolatedEdgeNode,
@@ -160,6 +161,48 @@ def test_single_matching_bases():
     cert = classify_last_power(mixed)
     assert not cert.verdict and isinstance(cert.trace, NuOneBaseNode)
     assert verify_certificate(mixed, cert)
+
+
+def test_star_rule_agrees_with_the_exchange_oracle_on_every_small_star():
+    # K_{1,t} for t <= 6 with its centre mid-label, every orientation, every
+    # weighting of the heads in 1..3
+    count = 0
+    for t in range(1, 7):
+        b = 1 + t // 2
+        leaves = [a for a in range(1, t + 2) if a != b]
+        for mask in range(1 << t):
+            edges = [(a, b) if mask >> i & 1 else (b, a) for i, a in enumerate(leaves)]
+            heads = sorted({h for _, h in edges})
+            for combo in product(range(1, 4), repeat=len(heads)):
+                D = WeightedOrientedGraph.build(t + 1, edges, dict(zip(heads, combo)))
+                cert = classify_last_power(D)
+                if max(combo) > 1:
+                    assert isinstance(cert.trace, NuOneBaseNode)
+                assert cert.verdict == is_polymatroidal(edge_ideal(D)), D
+                count += 1
+    assert count == 14_196
+
+
+def test_classification_calls_no_oracle(monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the classifier called an oracle")
+
+    monkeypatch.setattr(exchange, "check_exchange", oracle)
+    for name in ("betti_numbers", "has_linear_resolution", "is_linearly_related"):
+        monkeypatch.setattr(betti, name, oracle)
+    count = 0
+    for n in range(2, 5):
+        for underlying in forest_edge_sets(n):
+            for directed, weights in thm34_instances(n, underlying):
+                classify_last_power(thm34_graph(n, directed, weights))
+                count += 1
+    assert count > 1000
+    assert classify_last_power(in_star(2000, 2)).verdict
+    # one edge out of the centre into a weight-2 leaf: x_1^2 x_b beside x_a x_b^2
+    edges = [(2001, 1), *((a, 2001) for a in range(2, 2001))]
+    assert not classify_last_power(
+        WeightedOrientedGraph.build(2001, edges, {1: 2, 2001: 2})
+    ).verdict
 
 
 def test_isolated_edge_branch():

@@ -246,17 +246,14 @@ def test_enumerate_command(tmp_path, capsys):
     assert json.loads(files[0].read_text())["edges"]
 
 
-def test_config_file_supplies_workers(tmp_path, capsys):
+def test_config_option_is_rejected(tmp_path, capsys):
+    # --workers and MATCHPOW_WORKERS set the worker count; there is no config file
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"workers": 1}))
-    assert (
-        main(
-            ["--config", str(config), "verify", "thm11", "--trials", "5", "--max-n", "4"]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    assert main(["--config", str(tmp_path / "nope.json"), "classify", "x"]) == 2
+    config.write_text(json.dumps({"max_n": 3}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(config), "verify", "thm11", "--trials", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""  # no campaign ran
 
 
 def test_crash_exits_2_not_1(seven_vertex_file, monkeypatch, capsys):
@@ -298,17 +295,6 @@ def test_certificate_of_a_two_thousand_vertex_path_exits_0(tmp_path, capsys):
         assert json.loads(cert_path.read_text()) == certificate_to_doc(classify_last_power(D))
     finally:
         sys.setrecursionlimit(limit)
-
-
-def test_malformed_config_value_exits_2(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    args = ["--config", str(config), "verify", "lemma31", "--max-n", "3"]
-    # a non-numeric count, a count that overflows int(), nesting past the parser's depth
-    for text in ('{"workers": "x"}', '{"workers": 1e400}', "[" * 100_000 + "]" * 100_000):
-        config.write_text(text)
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_entrypoint_subprocess(seven_vertex_file):

@@ -203,6 +203,21 @@ def test_lemma31_scan():
     assert summary["configurations_checked"] > 100
 
 
+def test_thm34_instances_draws_what_the_campaign_draws():
+    # tests compare against the conftest stream as if it were the campaign's
+    total = 0
+    for n in range(2, 6):
+        for underlying in forest_edge_sets(n):
+            D = WeightedOrientedGraph.build(n, underlying)
+            count = 0
+            if matching_number(D) >= 2:
+                count = sum(1 for _ in thm34_instances(n, underlying))
+            if n <= 4:
+                assert count == _thm34_forest_task((n, underlying, 3))["instances"], underlying
+            total += count
+    assert total == 93_528
+
+
 def test_thm34_task_rejects_a_cycle():
     with pytest.raises(ValueError, match="forest"):
         _thm34_forest_task((4, ((1, 2), (1, 4), (2, 3), (3, 4)), 3))
