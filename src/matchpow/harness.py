@@ -11,7 +11,11 @@ form.  The caps are the oracles' own: the Betti table's generator cap and a
 fixed number of exchange pairs, so no cap state enters the memo.  Exhaustive
 drivers stream labelled instances and fan out across processes.  The thm34
 campaign plans the classifier once per labelled forest and evaluates every
-orientation and weighting of it against that plan.
+orientation and weighting of it against that plan.  The thm11 campaign holds
+the matchable vertex masks of a graph as one bitset, extends it one edge at a
+time along the counting order of edge masks, and keeps a verdict cache local
+to each task, keyed by the exact set of maximum-matching supports: the
+exchange check runs once per distinct support set in a task.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 from operator import itemgetter
@@ -229,67 +234,97 @@ def cross_validate(
 # ---------------------------------------------------------------------------
 
 
-def _max_matching_supports(n: int, edges: list[tuple[int, int]]) -> tuple[int, set[int]]:
-    """Matching number and the vertex-support bitmasks of maximum matchings.
+@lru_cache(maxsize=None)
+def _mask_bitsets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bitsets over the 2**n vertex masks on n vertices (bit m stands for the
+    mask m): ``without[i]`` holds the masks that lack vertex i + 1, and
+    ``even[k]`` those with exactly 2k vertices."""
+    # built over the first j vertices: vertex j + 1 doubles the masks, and the
+    # copies that hold it sit 2**j bits higher
+    without: list[int] = []
+    by_count = [1]  # by_count[c]: the masks with c vertices
+    for j in range(n):
+        shift = 1 << j
+        without = [w | w << shift for w in without] + [(1 << shift) - 1]
+        by_count = [lo | hi << shift for lo, hi in zip(by_count + [0], [0] + by_count)]
+    return tuple(without), tuple(by_count[::2])
 
-    A vertex mask supports a matching iff the induced subgraph has a perfect
-    matching, decided by a bottom-up scan over even-popcount masks.
+
+def _top_supports(table: int, even: tuple[int, ...]) -> tuple[int, int]:
+    """Matching number and the bitset of the maximum-matching supports read
+    from a matchable table; (0, 0) for a table of the empty matching alone."""
+    for k in range(len(even) - 1, 0, -1):
+        supports = table & even[k]
+        if supports:
+            return k, supports
+    return 0, 0
+
+
+def _max_matching_supports(n: int, edges: list[tuple[int, int]]) -> tuple[int, int]:
+    """Matching number and the bitset of the vertex masks of maximum matchings.
+
+    The matchable table holds bit m when the vertex mask m carries a perfect
+    matching of the induced subgraph.  It starts as the empty matching, and an
+    edge {a, b} adds ``ab`` to every matchable mask that holds neither a nor b.
     """
-    adj = [0] * n
+    without, even = _mask_bitsets(n)
+    table = 1
     for a, b in edges:
-        adj[a - 1] |= 1 << (b - 1)
-        adj[b - 1] |= 1 << (a - 1)
-    size = 1 << n
-    matchable = bytearray(size)
-    matchable[0] = 1
-    best = 0
-    for mask in range(3, size):
-        if mask.bit_count() & 1:
-            continue
-        vbit = mask & -mask
-        cand = adj[vbit.bit_length() - 1] & mask
-        rest = mask ^ vbit
-        while cand:
-            ubit = cand & -cand
-            cand ^= ubit
-            if matchable[rest ^ ubit]:
-                matchable[mask] = 1
-                if mask.bit_count() > best:
-                    best = mask.bit_count()
-                break
-    if not best:
-        return 0, set()
-    supports = {
-        mask for mask in range(size) if matchable[mask] and mask.bit_count() == best
-    }
-    return best // 2, supports
+        table |= (table & without[a - 1] & without[b - 1]) << ((1 << a - 1) | (1 << b - 1))
+    return _top_supports(table, even)
 
 
-def _support_ideal(n: int, supports: set[int]) -> MonomialIdeal:
-    """The squarefree ideal whose generators are the given vertex masks."""
-    gens = sorted(tuple(1 if s >> i & 1 else 0 for i in range(n)) for s in supports)
+def _support_ideal(n: int, supports: int) -> MonomialIdeal:
+    """The squarefree ideal whose generators are the vertex masks in a bitset."""
+    gens = []
+    while supports:
+        low = supports & -supports
+        supports ^= low
+        mask = low.bit_length() - 1
+        gens.append(tuple(mask >> i & 1 for i in range(n)))
+    gens.sort()
     return MonomialIdeal(n, tuple(Monomial(g) for g in gens))
 
 
-def _thm11_chunk(args: tuple[int, int, int]) -> tuple[int, list[dict[str, Any]]]:
+def _thm11_chunk(args: tuple[int, int, int]) -> tuple[int, list[dict[str, Any]], int]:
+    """Graphs checked, failures in mask order and exchange checks run for the
+    edge masks lo..hi-1 on n vertices (bit i of a mask is the i-th vertex pair).
+
+    ``tables[j]`` is the matchable table of the current mask's edges j and up,
+    so the next mask in counting order recomputes only the positions up to its
+    lowest set bit.  The exchange verdict is cached by the exact support set.
+    """
     n, lo, hi = args
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    without, even = _mask_bitsets(n)
+    steps = [(without[a - 1] & without[b - 1], (1 << a - 1) | (1 << b - 1)) for a, b in pairs]
+    tables = [1] * (len(pairs) + 1)
+    for j in range(len(pairs) - 1, -1, -1):
+        table = tables[j + 1]
+        if lo >> j & 1:
+            free, ab = steps[j]
+            table |= (table & free) << ab
+        tables[j] = table
+    verdicts: dict[int, bool] = {}
     checked = 0
     failures: list[dict[str, Any]] = []
     for mask in range(lo, hi):
+        if mask != lo:
+            j = (mask & -mask).bit_length() - 1
+            free, ab = steps[j]
+            table = tables[j + 1]
+            table |= (table & free) << ab
+            tables[: j + 1] = [table] * (j + 1)
         if not mask:
             continue
-        edges = []
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            edges.append(pairs[bit.bit_length() - 1])
-        _, supports = _max_matching_supports(n, edges)
-        if not is_polymatroidal(_support_ideal(n, supports)):
-            failures.append({"n": n, "edges": edges})
+        supports = _top_supports(tables[0], even)[1]
+        ok = verdicts.get(supports)
+        if ok is None:
+            ok = verdicts[supports] = is_polymatroidal(_support_ideal(n, supports))
+        if not ok:
+            failures.append({"n": n, "edges": [p for i, p in enumerate(pairs) if mask >> i & 1]})
         checked += 1
-    return checked, failures
+    return checked, failures, len(verdicts)
 
 
 def verify_thm11_exhaustive(max_n: int = 7, workers: Optional[int] = None) -> dict[str, Any]:
@@ -303,13 +338,12 @@ def verify_thm11_exhaustive(max_n: int = 7, workers: Optional[int] = None) -> di
         step = max(1, min(total, 1 << 15))
         tasks.extend((n, lo, min(lo + step, total)) for lo in range(0, total, step))
     results = _run_tasks(_thm11_chunk, tasks, w)
-    checked = sum(r[0] for r in results)
-    failures = [f for r in results for f in r[1]]
     return {
         "command": "thm11-exhaustive",
         "max_n": max_n,
-        "graphs_checked": checked,
-        "failures": failures,
+        "graphs_checked": sum(r[0] for r in results),
+        "failures": [f for r in results for f in r[1]],
+        "exchange_checks": sum(r[2] for r in results),
         "elapsed_s": round(time.perf_counter() - started, 3),
     }
 
@@ -343,7 +377,7 @@ def verify_thm11_random(trials: int = 500, max_n: int = 9, seed: int = 42) -> di
         nu, supports = _max_matching_supports(n, list(G.underlying_edges))
         ok = is_polymatroidal(_support_ideal(n, supports))
         reports.append(
-            {"index": idx, "n": n, "p": p, "nu": nu, "generators": len(supports), "ok": ok}
+            {"index": idx, "n": n, "p": p, "nu": nu, "generators": supports.bit_count(), "ok": ok}
         )
         if not ok:
             failures.append({"index": idx, "edges": list(G.underlying_edges)})
@@ -492,8 +526,10 @@ def verify_thm34_exhaustive(
 
     Also verifies that no matching power below the top one is linearly
     related, and the constant-exponent property on linearly related powers.
-    At max_weight 1 every instance is unweighted and skipped, so it needs 2.
+    No forest on 3 vertices has matching number 2, so max_n needs 4; at
+    max_weight 1 every instance is unweighted and skipped, so it needs 2.
     """
+    _require_at_least("max_n", max_n, 4)
     _require_at_least("max_weight", max_weight, 2)
     w = worker_count(workers)
     started = time.perf_counter()

@@ -143,7 +143,7 @@ def test_verify_commands_small(tmp_path, capsys):
 
     assert (
         main(
-            ["verify", "thm34", "--exhaustive", "--max-n", "3", "--max-weight", "2"]
+            ["verify", "thm34", "--exhaustive", "--max-n", "4", "--max-weight", "2"]
         )
         == 0
     )
@@ -188,6 +188,7 @@ def test_random_campaigns_reject_max_n_below_their_lowest_draw(theorem, lowest, 
         (["thm34", "--trials", "-3"], "trials", 0),
         (["thm11", "--trials", "-3"], "trials", 0),
         (["lemma22", "--pairs", "-3"], "pairs", 0),
+        (["thm34", "--exhaustive", "--max-n", "3"], "max_n", 4),
     ],
 )
 def test_verify_rejects_options_that_leave_nothing_to_check(args, option, lowest, capsys):

@@ -19,12 +19,14 @@ from matchpow import (
 )
 from matchpow import harness
 from matchpow.generate import forest_edge_sets
+from matchpow.graphs import _disjoint_sets
 from matchpow.harness import (
     _CANON_LIMIT,
     _canonical_key,
     _oracles,
     _thm34_forest_task,
     _max_matching_supports,
+    _support_ideal,
     verify_lemma22,
     verify_lemma31,
     verify_thm11_exhaustive,
@@ -101,12 +103,51 @@ def test_memo_falls_back_to_the_identity_order_beyond_the_limit():
 
 
 def test_max_matching_supports_p4():
+    # the supports come as a bitset over vertex masks: bit m for the mask m
     nu, supports = _max_matching_supports(4, [(1, 2), (2, 3), (3, 4)])
     assert nu == 2
-    assert supports == {0b1111}
+    assert supports == 1 << 0b1111
     nu, supports = _max_matching_supports(3, [(1, 2), (2, 3)])
     assert nu == 1
-    assert supports == {0b011, 0b110}
+    assert supports == 1 << 0b011 | 1 << 0b110
+    assert _max_matching_supports(3, []) == (0, 0)
+
+
+def test_max_matching_supports_match_brute_force_up_to_five_vertices():
+    count = 0
+    for n in range(2, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1, 1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            matchings = list(_disjoint_sets(edges))
+            nu = max(len(mt) for mt in matchings)
+            supports = 0
+            for mt in matchings:
+                if len(mt) == nu:
+                    vertex_mask = sum(1 << v - 1 for i in mt for v in edges[i])
+                    supports |= 1 << vertex_mask
+            assert _max_matching_supports(n, edges) == (nu, supports), (n, edges)
+            count += 1
+    assert count == 1 + 7 + 63 + 1023
+
+
+def test_thm11_verdict_cache_loses_no_failure(monkeypatch):
+    # refute every support set of exactly two masks: each graph with such a
+    # set is a failure, also where the cached verdict answers for it
+    monkeypatch.setattr(harness, "is_polymatroidal", lambda I: len(I.gens) != 2)
+    want = []
+    failing_sets = set()
+    for n in range(2, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1, 1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            supports = _max_matching_supports(n, edges)[1]
+            if not harness.is_polymatroidal(_support_ideal(n, supports)):
+                want.append({"n": n, "edges": edges})
+                failing_sets.add((n, supports))
+    assert len(want) > len(failing_sets) > 1
+    for workers in (1, 2):
+        assert verify_thm11_exhaustive(max_n=5, workers=workers)["failures"] == want
 
 
 def test_cross_validate_seven_vertex_example():
@@ -152,6 +193,7 @@ def test_thm11_exhaustive_small():
     summary = verify_thm11_exhaustive(max_n=4, workers=1)
     assert summary["graphs_checked"] == 1 + 7 + 63
     assert summary["failures"] == []
+    assert summary["exchange_checks"] == 35  # one per distinct support set and n
 
 
 def test_thm11_exhaustive_workers_merge_deterministically():
@@ -159,6 +201,7 @@ def test_thm11_exhaustive_workers_merge_deterministically():
     two = verify_thm11_exhaustive(max_n=4, workers=2)
     assert one["graphs_checked"] == two["graphs_checked"]
     assert one["failures"] == two["failures"]
+    assert one["exchange_checks"] == two["exchange_checks"]
 
 
 def test_thm11_random_small():
