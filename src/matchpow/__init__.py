@@ -1,9 +1,9 @@
 """Matching powers of edge ideals of weighted oriented graphs.
 
 Exact desk-scale tooling: monomial ideals, matchings and forest structure,
-matching powers, the polymatroidal exchange property with constructive
-witnesses, multigraded Betti numbers over GF(2) and Q, a certified recursive
-classifier for weighted oriented forests, and a cross-validation harness.
+matching powers, the polymatroidal exchange property, multigraded Betti
+numbers over GF(2) and Q, a certified recursive classifier for weighted
+oriented forests, and a cross-validation harness.
 """
 
 from .betti import (
@@ -15,7 +15,6 @@ from .betti import (
     has_linear_resolution,
     is_linearly_related,
     lcm_lattice,
-    regularity,
 )
 from .classify import (
     ClassificationCertificate,
@@ -26,15 +25,11 @@ from .classify import (
 from .exchange import (
     ExchangeFailure,
     check_exchange,
-    exchange_witness_last_power,
-    is_matroidal,
     is_polymatroidal,
 )
 from .generate import (
     SplitMix64,
     construct_linear_forests,
-    enumerate_forests,
-    random_weighted_oriented_forest,
 )
 from .graphs import (
     DistantConfig,
@@ -52,12 +47,10 @@ from .graphs import (
 from .harness import TrialReport, cross_validate
 from .monomials import Monomial, MonomialIdeal, minimalize
 from .powers import (
-    decompose_generator,
     edge_ideal,
     edge_monomial,
     matching_power,
     matching_power_from_matchings,
-    monomial_grade,
 )
 
 __version__ = "0.1.0"

@@ -25,8 +25,6 @@ __all__ = [
     "betti_numbers",
     "has_linear_resolution",
     "is_linearly_related",
-    "regularity",
-    "field_discrepancies",
     "DEFAULT_GENERATOR_CAP",
 ]
 
@@ -212,12 +210,12 @@ class BettiTable:
         return max(sum(a) - i for (i, a) in self.entries)
 
 
-def _require_capped(I: MonomialIdeal, cap: int) -> None:
-    if len(I.gens) > cap:
+def _require_capped(I: MonomialIdeal) -> None:
+    if len(I.gens) > DEFAULT_GENERATOR_CAP:
         raise GeneratorCapError(
-            f"ideal has {len(I.gens)} generators, above the Betti cap {cap}. "
-            "The CLI has no cap option: in Python, pass a larger cap= to betti_numbers "
-            "or has_linear_resolution if the 2^|support| face scans are acceptable"
+            f"ideal has {len(I.gens)} generators, above the Betti cap "
+            f"{DEFAULT_GENERATOR_CAP}: the lcm-lattice scan costs 2^|support| faces "
+            "per lattice point"
         )
 
 
@@ -232,22 +230,18 @@ def _betti_entries(I: MonomialIdeal, field: str) -> Iterator[tuple[int, tuple[in
                 yield i, a.exponents, r
 
 
-def betti_numbers(
-    I: MonomialIdeal, field: str = FIELD_GF2, cap: int = DEFAULT_GENERATOR_CAP
-) -> BettiTable:
+def betti_numbers(I: MonomialIdeal, field: str = FIELD_GF2) -> BettiTable:
     """The full multigraded Betti table of a nonzero monomial ideal."""
     _check_field(field)
     if I.is_zero():
         raise ValueError("the zero ideal has no Betti table")
-    _require_capped(I, cap)
+    _require_capped(I)
     entries = {(i, a): r for i, a, r in _betti_entries(I, field)}
     degrees = tuple(sorted({g.degree for g in I.gens}))
     return BettiTable(I.n, entries, degrees)
 
 
-def has_linear_resolution(
-    I: MonomialIdeal, field: str = FIELD_GF2, cap: int = DEFAULT_GENERATOR_CAP
-) -> bool:
+def has_linear_resolution(I: MonomialIdeal, field: str = FIELD_GF2) -> bool:
     """True iff every nonzero beta_{i,a} sits at total degree i + d.
 
     Ideals not generated in a single degree do not qualify.  Scans the lcm
@@ -259,7 +253,7 @@ def has_linear_resolution(
     d = I.is_equigenerated()
     if d is None:
         return False
-    _require_capped(I, cap)
+    _require_capped(I)
     return all(sum(a) - i == d for i, a, _ in _betti_entries(I, field))
 
 
@@ -309,28 +303,3 @@ def is_linearly_related(I: MonomialIdeal) -> bool:
                     return False
     return True
 
-
-def regularity(
-    I: MonomialIdeal, field: str = FIELD_GF2, cap: int = DEFAULT_GENERATOR_CAP
-) -> int:
-    """max(|a| - i) over the nonzero Betti entries."""
-    return betti_numbers(I, field, cap).regularity()
-
-
-def field_discrepancies(
-    I: MonomialIdeal, cap: int = DEFAULT_GENERATOR_CAP
-) -> list[tuple[int, tuple[int, ...], int, int]]:
-    """Entries where the GF(2) and rational Betti tables disagree.
-
-    Such specimens would witness characteristic dependence; they are reported
-    rather than treated as failures.
-    """
-    t2 = betti_numbers(I, FIELD_GF2, cap).entries
-    tq = betti_numbers(I, FIELD_RATIONALS, cap).entries
-    out = []
-    for key in sorted(set(t2) | set(tq)):
-        r2 = t2.get(key, 0)
-        rq = tq.get(key, 0)
-        if r2 != rq:
-            out.append((key[0], key[1], r2, rq))
-    return out

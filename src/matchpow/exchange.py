@@ -1,10 +1,8 @@
-"""The polymatroidal exchange property and its constructive witness.
+"""The polymatroidal exchange property.
 
 An equigenerated monomial ideal is polymatroidal when for all generators u, v
 and every i with deg_i(u) > deg_i(v) there is a j with deg_j(u) < deg_j(v)
-such that x_j * u / x_i is again a generator.  For last matching powers of
-unweighted graphs the witness j can be produced constructively by walking an
-alternating path between two maximum matchings.
+such that x_j * u / x_i is again a generator.
 """
 
 from __future__ import annotations
@@ -12,16 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import WeightedOrientedGraph, matching_number
 from .monomials import Monomial, MonomialIdeal
-from .powers import decompose_generator
 
 __all__ = [
     "ExchangeFailure",
     "check_exchange",
     "is_polymatroidal",
-    "is_matroidal",
-    "exchange_witness_last_power",
 ]
 
 
@@ -76,48 +70,3 @@ def check_exchange(I: MonomialIdeal) -> tuple[bool, Optional[ExchangeFailure]]:
 def is_polymatroidal(I: MonomialIdeal) -> bool:
     return check_exchange(I)[0]
 
-
-def is_matroidal(I: MonomialIdeal) -> bool:
-    """Polymatroidal with squarefree generators."""
-    return all(g.is_squarefree() for g in I.gens) and is_polymatroidal(I)
-
-
-def exchange_witness_last_power(
-    D: WeightedOrientedGraph, u: Monomial, v: Monomial, i: int
-) -> int:
-    """The alternating-path exchange witness for the last matching power.
-
-    Requires an unweighted graph and generators u, v of the top matching power
-    with deg_i(u) > deg_i(v).  Decomposes u and v into maximum matchings M_u,
-    M_v, then walks edges alternating between the two matchings starting from
-    the M_u edge at i until it exits V(M_u); the exit vertex j satisfies
-    deg_j(u) < deg_j(v) and x_j * u / x_i is a generator.  The walk visits
-    each matching edge at most once, so it stops within nu(G) steps.
-    """
-    if any(D.weight(x) != 1 for x in D.vertices):
-        raise ValueError("witness construction requires an unweighted graph")
-    nu = matching_number(D)
-    if nu == 0:
-        raise ValueError("graph has no edges")
-    if u.deg(i) <= v.deg(i):
-        raise ValueError(f"deg_{i}(u) must exceed deg_{i}(v)")
-    m_u = decompose_generator(D, u, nu)
-    m_v = decompose_generator(D, v, nu)
-    at_u = {x: e for e in m_u.edges for x in e}
-    at_v = {x: e for e in m_v.edges for x in e}
-    if i not in at_u:
-        raise ValueError(f"variable {i} does not occur in u")
-
-    a, b = at_u[i]
-    h = b if a == i else a
-    current = h
-    for _ in range(nu + 1):
-        if current not in at_v:
-            raise ValueError("walk left both matchings; inputs violate the contract")
-        a, b = at_v[current]
-        nxt = b if a == current else a
-        if nxt not in at_u:
-            return nxt
-        a, b = at_u[nxt]
-        current = b if a == nxt else a
-    raise ValueError("alternating walk failed to terminate; inputs violate the contract")

@@ -1,4 +1,4 @@
-"""Instance generation: seeded random graphs, exhaustive forest streams, and
+"""Instance generation: seeded random graphs, exhaustive forest edge sets, and
 the recursive constructor for forests whose last matching power is polymatroidal.
 
 Randomness comes from SplitMix64 with 64-bit seeds, so every stream is
@@ -7,17 +7,14 @@ bit-reproducible across platforms and Python versions.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator, Optional
 
 from .graphs import WeightedOrientedGraph, _Forest, matching_number
 
 __all__ = [
     "SplitMix64",
-    "random_weighted_oriented_forest",
     "build_random_forest",
     "random_simple_graph",
-    "enumerate_forests",
     "forest_edge_sets",
     "construct_linear_forests",
 ]
@@ -78,23 +75,6 @@ def build_random_forest(n: int, w_max: int, rng: SplitMix64) -> WeightedOriented
     return WeightedOrientedGraph.build(n, edges, weights).normalize_sources()
 
 
-def random_weighted_oriented_forest(
-    n_max: int, w_max: int, seed: int
-) -> WeightedOrientedGraph:
-    """A seeded random normalized forest on 2..n_max vertices, with at least
-    one edge (edgeless draws are retried on the same stream)."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    if w_max < 1:
-        raise ValueError("w_max must be >= 1")
-    rng = SplitMix64(seed)
-    while True:
-        n = rng.randint(2, n_max)
-        D = build_random_forest(n, w_max, rng)
-        if D.underlying_edges:
-            return D
-
-
 def random_simple_graph(n: int, p: float, rng: SplitMix64) -> WeightedOrientedGraph:
     """An unweighted Erdos-Renyi style graph; orientation low -> high."""
     edges = [
@@ -132,31 +112,6 @@ def forest_edge_sets(n: int) -> list[tuple[tuple[int, int], ...]]:
         if ok:
             out.append(tuple(edges))
     return out
-
-
-def enumerate_forests(n_max: int, w_max: int) -> Iterator[WeightedOrientedGraph]:
-    """Every labelled weighted oriented forest on exactly n_max vertices.
-
-    All acyclic edge subsets, both orientations per edge, and every weight
-    assignment in [1, w_max] on non-sources (sources stay at weight 1).
-    Guarded at n_max <= 7; the stream is duplicates-free but makes no attempt
-    at isomorphism reduction.
-    """
-    if n_max > 7:
-        raise ValueError("enumerate_forests is guarded at n_max <= 7")
-    if w_max < 1:
-        raise ValueError("w_max must be >= 1")
-    for underlying in forest_edge_sets(n_max):
-        m = len(underlying)
-        for orient_mask in range(1 << m):
-            directed = tuple(
-                (a, b) if orient_mask >> i & 1 == 0 else (b, a)
-                for i, (a, b) in enumerate(underlying)
-            )
-            heads = sorted({h for _, h in directed})
-            for combo in product(range(1, w_max + 1), repeat=len(heads)):
-                weights = dict(zip(heads, combo))
-                yield WeightedOrientedGraph.build(n_max, directed, weights)
 
 
 # ---------------------------------------------------------------------------

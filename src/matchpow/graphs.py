@@ -43,10 +43,6 @@ class Matching:
             seen.add(a)
             seen.add(b)
 
-    @staticmethod
-    def of(pairs: Iterable[tuple[int, int]]) -> "Matching":
-        return Matching(tuple(sorted(tuple(sorted(p)) for p in pairs)))
-
     @property
     def size(self) -> int:
         return len(self.edges)

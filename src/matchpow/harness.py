@@ -363,6 +363,10 @@ def verify_thm11_random(trials: int = 500, max_n: int = 9, seed: int = 42) -> di
     """
     _require_at_least("trials", trials, 0)
     _require_at_least("max_n", max_n, 2)
+    # a draw on n vertices holds about 1.5 * n memoised bitsets of 2**n bits
+    # (4 MB at n = 20, 5.8 GB at n = 30)
+    if max_n > 20:
+        raise ValueError(f"max_n must be at most 20 for this campaign, got {max_n}")
     started = time.perf_counter()
     rng = SplitMix64(seed)
     failures: list[dict[str, Any]] = []

@@ -49,19 +49,8 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    def deg(self, var: int) -> int:
-        """Exponent of variable ``var`` (1-based)."""
-        return self.exponents[var - 1]
-
-    def support(self) -> frozenset[int]:
-        """Indices (1-based) of the variables dividing this monomial."""
-        return frozenset(i + 1 for i, e in enumerate(self.exponents) if e)
-
     def is_one(self) -> bool:
         return not any(self.exponents)
-
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
 
     def divides(self, other: "Monomial") -> bool:
         _check_same_ring(self.n, other.n)
@@ -70,22 +59,6 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         _check_same_ring(self.n, other.n)
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        """Exact division; raises if ``other`` does not divide ``self``."""
-        _check_same_ring(self.n, other.n)
-        diff = tuple(a - b for a, b in zip(self.exponents, other.exponents))
-        if any(d < 0 for d in diff):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(diff)
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        _check_same_ring(self.n, other.n)
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        _check_same_ring(self.n, other.n)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def __str__(self) -> str:
         if self.is_one():
@@ -162,11 +135,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and self.gens[0].is_one()
 
-    def contains(self, m: Monomial) -> bool:
-        """Monomial membership: some generator divides ``m``."""
-        _check_same_ring(self.n, m.n)
-        return any(g.divides(m) for g in self.gens)
-
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         _check_same_ring(self.n, other.n)
         return minimalize((g * h for g in self.gens for h in other.gens), self.n)
@@ -179,11 +147,6 @@ class MonomialIdeal:
         """The ideal m*I.  Translation preserves minimality and sort order."""
         _check_same_ring(self.n, m.n)
         return MonomialIdeal(self.n, tuple(g * m for g in self.gens))
-
-    def colon(self, m: Monomial) -> "MonomialIdeal":
-        """The colon ideal (I : m) = ({ g / gcd(g, m) : g in G(I) })."""
-        _check_same_ring(self.n, m.n)
-        return minimalize((g / g.gcd(m) for g in self.gens), self.n)
 
     def is_equigenerated(self) -> Optional[int]:
         """The common generator degree, or None if degrees are mixed.

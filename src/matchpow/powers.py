@@ -6,16 +6,16 @@ every monomial of I is divisible by a minimal generator with smaller support.
 For an edge ideal the generators correspond to k-matchings of the underlying
 graph (two routes that the test suite checks against each other).
 
-Both routes, and :func:`monomial_grade` and :func:`decompose_generator`, run
-one search: :func:`graphs._disjoint_sets`, an iterative walk over index
-tuples of pairwise disjoint supports (generator variables, or edge endpoints).
+Both routes run one search: :func:`graphs._disjoint_sets`, an iterative walk
+over index tuples of pairwise disjoint supports (generator variables, or edge
+endpoints).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .graphs import Matching, WeightedOrientedGraph, _disjoint_sets
+from .graphs import WeightedOrientedGraph, _disjoint_sets
 from .monomials import Monomial, MonomialIdeal, minimalize
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "edge_ideal",
     "matching_power",
     "matching_power_from_matchings",
-    "monomial_grade",
-    "decompose_generator",
 ]
 
 
@@ -111,46 +109,4 @@ def matching_power_from_matchings(D: WeightedOrientedGraph, k: int) -> MonomialI
     directed = [D.orientation(a, b) for a, b in edges]
     products = _matching_products(D.n, directed, [1, *D.weights], _disjoint_sets(edges, k))
     return minimalize((Monomial(e) for e in products), D.n)
-
-
-def monomial_grade(I: MonomialIdeal) -> int:
-    """Largest k with a k-subset of generators having pairwise disjoint supports."""
-    if I.is_zero():
-        raise ValueError("the zero ideal has no monomial grade")
-    if I.is_unit():
-        raise ValueError("the unit ideal has unbounded monomial grade")
-    supports = _supports(I)
-    # a greedy pick in index order is a lower bound; raise it while the
-    # search finds a larger set
-    best, taken = 0, set()
-    for supp in supports:
-        if taken.isdisjoint(supp):
-            taken.update(supp)
-            best += 1
-    while next(_disjoint_sets(supports, best + 1), None) is not None:
-        best += 1
-    return best
-
-
-def decompose_generator(D: WeightedOrientedGraph, u: Monomial, k: int) -> Matching:
-    """A k-matching whose edge monomials multiply to u, first in edge order.
-
-    Raises if no decomposition exists (u is then not a generator of the k-th
-    matching power of the edge ideal).
-    """
-    if u.n != D.n:
-        raise ValueError("ambient variable counts differ")
-    # matched edges have disjoint supports, so an edge fits into u exactly when
-    # its monomial agrees with u on both of its endpoints; a k-matching of such
-    # edges then multiplies to u iff it covers all of supp(u)
-    edges = D.underlying_edges
-    fits = [
-        i
-        for i, e in enumerate(edges)
-        if all(edge_monomial(D, e).exponents[v - 1] == u.exponents[v - 1] for v in e)
-    ]
-    if 2 * k == sum(1 for e in u.exponents if e):
-        for m in _disjoint_sets([edges[i] for i in fits], k):
-            return Matching(tuple(edges[fits[i]] for i in m))
-    raise ValueError(f"{u} has no decomposition into {k} disjoint edge monomials")
 

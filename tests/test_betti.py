@@ -19,7 +19,6 @@ from matchpow import (
     is_polymatroidal,
     lcm_lattice,
     matching_power,
-    regularity,
 )
 import matchpow.betti
 from matchpow.betti import (
@@ -27,7 +26,6 @@ from matchpow.betti import (
     _int_rank,
     _koszul_faces,
     _ranks_from_faces,
-    field_discrepancies,
 )
 from matchpow.generate import SplitMix64, build_random_forest
 
@@ -223,7 +221,7 @@ def test_vanishing_off_the_lattice():
 def test_linear_resolution_p4_and_regularity():
     IP4 = edge_ideal(path_graph(4))
     assert has_linear_resolution(IP4)
-    assert regularity(IP4) == 2
+    assert betti_numbers(IP4).regularity() == 2
 
 
 def test_p5_not_linearly_related():
@@ -331,23 +329,17 @@ def test_field_agreement_on_fixtures():
         matching_power(edge_ideal(path_graph(5)), 2),
         ideal(7, (2, 2, 1, 1, 1, 1, 0), (2, 2, 1, 1, 1, 0, 1)),
     ]:
-        assert field_discrepancies(I) == []
+        assert betti_numbers(I).entries == betti_numbers(I, FIELD_RATIONALS).entries
 
 
 def test_field_comparison_over_random_corpus():
     rng = SplitMix64(17)
-    specimens = []
     for _ in range(20):
         D = build_random_forest(rng.randint(2, 6), 2, rng)
         I = edge_ideal(D)
         if I.is_zero():
             continue
-        specimens.extend(field_discrepancies(I))
-    # characteristic-dependent entries would be reported, not failed; none are
-    # expected at this scale, and any found would need investigation
-    if specimens:  # pragma: no cover
-        print("characteristic-dependence specimens:", specimens)
-    assert isinstance(specimens, list)
+        assert betti_numbers(I).entries == betti_numbers(I, FIELD_RATIONALS).entries
 
 
 # -- exact rank backend ---------------------------------------------------------------

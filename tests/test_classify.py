@@ -35,7 +35,7 @@ from matchpow.classify import (
     StrongEdgeNode,
     UnweightedBaseNode,
 )
-from matchpow.generate import SplitMix64, build_random_forest, enumerate_forests, forest_edge_sets
+from matchpow.generate import SplitMix64, build_random_forest, forest_edge_sets
 from matchpow.harness import _thm34_forest_task
 from matchpow.serialize import certificate_from_doc, certificate_to_doc
 
@@ -338,17 +338,23 @@ def test_recursion_depth_matches_matching_number():
 
 
 def test_exhaustive_tiny_forests_match_exchange_oracle():
+    # every labelled forest on 4 vertices with an edge, both orientations of
+    # each edge and head weights 1-2 (sources keep weight 1)
     count = 0
-    for D in enumerate_forests(4, 2):
-        nu = matching_number(D)
-        if nu < 1:
+    for underlying in forest_edge_sets(4):
+        if not underlying:
             continue
-        cert = classify_last_power(D)
-        P = matching_power(edge_ideal(D), nu)
-        assert cert.verdict == is_polymatroidal(P), D
-        assert verify_certificate(D, cert)
-        count += 1
-    assert count > 100
+        for mask in range(1 << len(underlying)):
+            directed = [e if mask >> i & 1 == 0 else e[::-1] for i, e in enumerate(underlying)]
+            heads = sorted({h for _, h in directed})
+            for combo in product((1, 2), repeat=len(heads)):
+                D = WeightedOrientedGraph.build(4, directed, dict(zip(heads, combo)))
+                cert = classify_last_power(D)
+                P = matching_power(edge_ideal(D), matching_number(D))
+                assert cert.verdict == is_polymatroidal(P), D
+                assert verify_certificate(D, cert)
+                count += 1
+    assert count == 1000
 
 
 def test_two_thousand_vertex_path_classifies_and_round_trips():

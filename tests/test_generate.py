@@ -1,9 +1,8 @@
 from itertools import islice
 
-import pytest
-
 from conftest import oriented_weighted_isomorphic, seven_vertex_example
 from matchpow import (
+    WeightedOrientedGraph,
     classify_last_power,
     edge_ideal,
     is_forest,
@@ -15,8 +14,7 @@ from matchpow.generate import (
     SplitMix64,
     build_random_forest,
     construct_linear_forests,
-    enumerate_forests,
-    random_weighted_oriented_forest,
+    forest_edge_sets,
 )
 
 
@@ -33,24 +31,17 @@ def test_splitmix_is_stable():
 
 
 def test_random_forest_determinism_and_shape():
-    a = random_weighted_oriented_forest(6, 3, seed=11)
-    b = random_weighted_oriented_forest(6, 3, seed=11)
+    a = build_random_forest(6, 3, SplitMix64(11))
+    b = build_random_forest(6, 3, SplitMix64(11))
     assert a == b
     assert is_forest(a)
     assert a.is_normalized()
     assert a.underlying_edges
-    assert 2 <= len(a.vertices) <= 6
     assert all(1 <= a.weight(v) <= 3 for v in a.vertices)
 
 
-def test_two_vertex_draw_is_a_single_directed_edge():
-    D = random_weighted_oriented_forest(2, 3, seed=0)
-    assert len(D.underlying_edges) == 1
-    assert D.n == 2
-
-
 def test_weight_bound_one_gives_unweighted():
-    D = random_weighted_oriented_forest(5, 1, seed=7)
+    D = build_random_forest(5, 1, SplitMix64(7))
     assert all(D.weight(v) == 1 for v in D.vertices)
 
 
@@ -65,32 +56,14 @@ def test_build_random_forest_exact_size():
 
 
 def test_enumerate_two_vertices():
-    graphs = list(enumerate_forests(2, 2))
-    # the edgeless graph plus both orientations with head weight 1 or 2
-    assert len(graphs) == 5
-    weighted = [
-        g for g in graphs if g.underlying_edges and max(g.weights) == 2
-    ]
-    assert len(weighted) == 2
-
-
-def test_enumerate_three_vertices_unweighted():
-    graphs = list(enumerate_forests(3, 1))
-    # 1 edgeless + 3 edges * 2 orientations + 3 paths * 4 orientations
-    assert len(graphs) == 19
-    assert all(all(w == 1 for w in g.weights) for g in graphs)
+    assert forest_edge_sets(2) == [(), ((1, 2),)]
 
 
 def test_enumerate_counts_forests_only():
-    graphs = list(enumerate_forests(3, 2))
-    assert all(is_forest(g) for g in graphs)
-    # every graph is normalized by construction: sources keep weight 1
-    assert all(g.is_normalized() for g in graphs)
-
-
-def test_enumerate_guard():
-    with pytest.raises(ValueError):
-        next(enumerate_forests(8, 1))
+    edge_sets = forest_edge_sets(4)
+    # the labelled forests on 4 vertices: 1 + 6 + 15 + 16 by edge count
+    assert len(edge_sets) == len(set(edge_sets)) == 38
+    assert all(is_forest(WeightedOrientedGraph.build(4, edges)) for edges in edge_sets)
 
 
 # -- the recursive constructor ----------------------------------------------------

@@ -1,5 +1,3 @@
-from itertools import product
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,20 +14,8 @@ def ideal(n, *gens):
     return MonomialIdeal.from_monomials(n, [m(*g) for g in gens])
 
 
-# -- support ----------------------------------------------------------------
-
-
-def test_support_examples():
-    assert m(1, 0, 2, 0).support() == {1, 3}
-    assert Monomial.one(3).support() == frozenset()
-    assert m(0, 1, 1, 1, 0).support() == {2, 3, 4}
-
-
 def test_degree_and_squarefree():
     assert m(1, 0, 2, 0).degree == 3
-    assert m(1, 0, 2, 0).deg(3) == 2
-    assert not m(1, 0, 2, 0).is_squarefree()
-    assert m(1, 1, 0).is_squarefree()
 
 
 def test_negative_exponent_rejected():
@@ -156,44 +142,6 @@ def test_ambient_mismatch_raises():
         ideal(3, (1, 0, 0)) + ideal(2, (1, 0))
 
 
-# -- colon ---------------------------------------------------------------------
-
-
-def _members_up_to(I, max_deg):
-    """Brute-force membership list over all monomials of bounded degree."""
-    out = []
-    for exps in product(range(max_deg + 1), repeat=I.n):
-        if sum(exps) <= max_deg:
-            out.append((exps, I.contains(Monomial(exps))))
-    return out
-
-
-def test_colon_example_against_membership_oracle():
-    I = ideal(3, (1, 2, 0), (0, 1, 1))
-    x2 = m(0, 1, 0)
-    Q = I.colon(x2)
-    # oracle: u in (I : x2)  <=>  u * x2 in I, over all monomials of degree <= 3
-    for exps, _ in _members_up_to(I, 3):
-        u = Monomial(exps)
-        assert Q.contains(u) == I.contains(u * x2)
-    assert Q == ideal(3, (1, 1, 0), (0, 0, 1))
-
-
-def test_colon_trivial_cases():
-    I = ideal(3, (1, 1, 0))
-    assert I.colon(Monomial.one(3)) == I
-    assert I.colon(m(0, 0, 1)) == I  # coprime colon
-
-
-@given(ideals(n=3, max_exp=2, max_gens=4), monomials(n=3, max_exp=2))
-@settings(max_examples=60)
-def test_colon_membership_property(I, u):
-    Q = I.colon(u)
-    for exps in product(range(3), repeat=3):
-        w = Monomial(exps)
-        assert Q.contains(w) == I.contains(w * u)
-
-
 # -- equigeneration --------------------------------------------------------------
 
 
@@ -211,11 +159,3 @@ def test_zero_and_unit_flags():
     assert MonomialIdeal.unit(3).is_unit()
     assert not ideal(3, (1, 0, 0)).is_unit()
 
-
-def test_division_and_lcm_gcd():
-    u, v = m(2, 1, 0), m(1, 1, 1)
-    assert u.lcm(v) == m(2, 1, 1)
-    assert u.gcd(v) == m(1, 1, 0)
-    assert (u * v) / v == u
-    with pytest.raises(ValueError):
-        u / v
