@@ -24,6 +24,7 @@ orientation and weighting of a forest.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import filterfalse
 from typing import Optional, Sequence, Union
@@ -422,9 +423,11 @@ def _certify(
             )
         return ClassificationCertificate(cert.verdict, StrongEdgeNode(config, cert))
 
-    # pendant leaves must be weightless
-    for a in config.leaves:
-        if weights[a] != 1:
+    # A weight counts only on a vertex that heads an edge of this subforest:
+    # deleting vertices can leave a weighted vertex a source, of weight 1.
+    # Pendant leaves must be weightless; a leaf's one edge is its pendant.
+    for a, i in zip(config.leaves, node.pendants):
+        if weights[a] != 1 and directed[i][1] == a:
             return ClassificationCertificate(False, RefutedNode("leaf_weight", (a,)))
     b, c = config.center, config.anchor
     child_b = plan._child(node, 0)
@@ -434,8 +437,11 @@ def _certify(
     if not cert_b.verdict:
         return ClassificationCertificate(False, RefutedNode("child_power", (b,), cert_b))
 
-    wb = weights[b]
-    deltas = {wb if directed[i][1] == b else 1 for i in node.pendants}
+    # b's edges here are its pendants and the bridge
+    heads = [directed[i][1] for i in node.pendants]
+    bridge_in = directed[node.bridge][1] == b
+    wb = weights[b] if bridge_in or b in heads else 1
+    deltas = {wb if h == b else 1 for h in heads}
     if node.star:
         # the power without centre and anchor vanishes
         if len(deltas) > 1:
@@ -446,10 +452,10 @@ def _certify(
     # be weightless, and the bridge monomial must be x_c * x_b^{w(b)}
     if deltas != {wb}:
         return ClassificationCertificate(False, RefutedNode("pendant_exponent", config.leaves))
-    if weights[c] != 1:
+    if weights[c] != 1 and _heads_an_edge(plan, node, directed, c):
         return ClassificationCertificate(False, RefutedNode("bridge_shape", (c,)))
     # with w(c) = 1 both orientations give x_b x_c; otherwise (c, b) is forced
-    if directed[node.bridge][1] != b and wb != 1:
+    if not bridge_in and wb != 1:
         return ClassificationCertificate(False, RefutedNode("bridge_shape", (b, c)))
     child_bc = plan._child(node, 1)
     cert_bc = done.get(child_bc)
@@ -458,6 +464,19 @@ def _certify(
     if not cert_bc.verdict:
         return ClassificationCertificate(False, RefutedNode("child_power", (b, c), cert_bc))
     return ClassificationCertificate(True, StarSplitNode(config, cert_b, cert_bc))
+
+
+def _heads_an_edge(
+    plan: ForestPlan, node: _PlanNode, directed: Sequence[tuple[int, int]], v: int
+) -> bool:
+    """Whether v is the head of an edge of the node's subforest."""
+    ids = node.ids
+    for i in plan.incident[v]:
+        if directed[i][1] == v:
+            k = bisect_left(ids, i)
+            if k < len(ids) and ids[k] == i:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Instance generation: seeded random graphs, exhaustive forest edge sets, and
-the recursive constructor for forests whose last matching power is polymatroidal.
+"""Instance generation: seeded random graphs, forest isomorphism classes with
+their labelled copies, and the recursive constructor for forests whose last
+matching power is polymatroidal.
 
 Randomness comes from SplitMix64 with 64-bit seeds, so every stream is
 bit-reproducible across platforms and Python versions.
@@ -7,6 +8,7 @@ bit-reproducible across platforms and Python versions.
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterator, Optional
 
 from .graphs import WeightedOrientedGraph, _Forest, matching_number
@@ -15,7 +17,7 @@ __all__ = [
     "SplitMix64",
     "build_random_forest",
     "random_simple_graph",
-    "forest_edge_sets",
+    "forest_classes",
     "construct_linear_forests",
 ]
 
@@ -83,35 +85,92 @@ def random_simple_graph(n: int, p: float, rng: SplitMix64) -> WeightedOrientedGr
     return WeightedOrientedGraph.build(n, edges)
 
 
-def forest_edge_sets(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """All acyclic subsets of the edges of the complete graph on 1..n."""
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+Edges = tuple[tuple[int, int], ...]
+
+
+def forest_classes(n: int) -> list[tuple[Edges, list[tuple[Edges, tuple[int, ...]]]]]:
+    """The forests on the vertices 1..n that have an edge, one entry per
+    isomorphism class: a representative and its labelled copies.
+
+    Classes grow one vertex at a time, as an isolated vertex or as a leaf on
+    any vertex of a class on one vertex fewer, and are told apart by the
+    sorted AHU codes (Aho, Hopcroft & Ullman) of their trees, each rooted at
+    its centre.  A copy is the image of the representative under a
+    permutation p of 1..n (``p[v]`` the image of v, ``p[0] = 0``), listed
+    once, with the first such p in lexicographic order.  Every edge set is a
+    sorted tuple of (low, high) pairs.
+    """
+    level: dict[tuple, Edges] = {((),): ()}  # the classes on k vertices by code
+    for k in range(2, n + 1):
+        grown: dict[tuple, Edges] = {}
+        for edges in level.values():
+            for v in range(k):  # v = 0 adds k as an isolated vertex
+                cand = tuple(sorted(edges + ((v, k),))) if v else edges
+                grown.setdefault(_forest_code(k, cand), cand)
+        level = grown
     out = []
-    for mask in range(1 << len(pairs)):
-        parent = list(range(n + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        edges = []
-        ok = True
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            a, b = pairs[bit.bit_length() - 1]
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                ok = False
-                break
-            parent[ra] = rb
-            edges.append((a, b))
-        if ok:
-            out.append(tuple(edges))
+    for rep in level.values():
+        if not rep:
+            continue
+        copies: dict[Edges, tuple[int, ...]] = {}
+        for perm in permutations(range(1, n + 1)):
+            p = (0, *perm)
+            copy = tuple(sorted((p[a], p[b]) if p[a] < p[b] else (p[b], p[a]) for a, b in rep))
+            copies.setdefault(copy, p)
+        out.append((rep, list(copies.items())))
     return out
+
+
+def _forest_code(n: int, edges: Edges) -> tuple:
+    """The sorted codes of a forest's trees: a rooted tree's code is the sorted
+    tuple of its subtrees' codes, and each tree takes the least code over its
+    one or two centres."""
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = [False] * (n + 1)
+    codes = []
+    for s in range(1, n + 1):
+        if seen[s]:
+            continue
+        seen[s] = True
+        tree = [s]
+        for v in tree:
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    tree.append(u)
+        # strip the leaves layer by layer until one or two centres remain
+        degree = {v: len(adj[v]) for v in tree}
+        layer = [v for v in tree if degree[v] <= 1]
+        left = len(tree)
+        while left > 2:
+            left -= len(layer)
+            inner = []
+            for v in layer:
+                for u in adj[v]:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        inner.append(u)
+            layer = inner
+        codes.append(min(_rooted_code(adj, c) for c in layer))
+    return tuple(sorted(codes))
+
+
+def _rooted_code(adj: list[list[int]], root: int) -> tuple:
+    """AHU code of the tree rooted at ``root``, built children first."""
+    parent = {root: 0}
+    order = [root]
+    for v in order:
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    code: dict[int, tuple] = {}
+    for v in reversed(order):
+        code[v] = tuple(sorted(code[u] for u in adj[v] if u != parent[v]))
+    return code[root]
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,16 @@ class WeightedOrientedGraph:
         return WeightedOrientedGraph(self.n, edges, tuple(wvec), tuple(sorted(keep_set)), self.names)
 
     def delete(self, drop: Iterable[int]) -> "WeightedOrientedGraph":
+        """The subgraph without the dropped vertices.  Only the heads of its
+        edges keep their weights: a vertex whose in-edges are all gone is a
+        source there, of weight 1."""
         drop_set = set(drop)
-        return self.induced(v for v in self.vertices if v not in drop_set)
+        edges = tuple(e for e in self.edges if e[0] not in drop_set and e[1] not in drop_set)
+        wvec = [1] * self.n
+        for _, h in edges:
+            wvec[h - 1] = self.weights[h - 1]
+        vertices = tuple(v for v in self.vertices if v not in drop_set)
+        return WeightedOrientedGraph(self.n, edges, tuple(wvec), vertices, self.names)
 
 
 def is_forest(D: WeightedOrientedGraph) -> bool:

@@ -9,9 +9,13 @@ variables, so the memo holds each answer under the exact generator tuple and
 under a permutation-canonical form of it; the oracles run once per canonical
 form.  The caps are the oracles' own: the Betti table's generator cap and a
 fixed number of exchange pairs, so no cap state enters the memo.  Exhaustive
-drivers stream labelled instances and fan out across processes.  The thm34
-campaign plans the classifier once per labelled forest and evaluates every
-orientation and weighting of it against that plan.  The thm11 campaign holds
+campaigns fan out across processes.  The thm34 campaign takes the forests as
+isomorphism classes with their labelled copies: the oracle side, which does
+not change under relabelling, runs once per orientation and weighting of a
+class representative, and each row of that table is mapped onto every
+labelled copy, where the classifier runs against the copy's own plan.  So the
+classifier still sees every labelled instance, and every count and dump is
+per labelled instance.  The thm11 campaign holds
 the matchable vertex masks of a graph as one bitset, extends it one edge at a
 time along the counting order of edge masks, and keeps a verdict cache local
 to each task, keyed by the exact set of maximum-matching supports: the
@@ -27,7 +31,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 from operator import itemgetter
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from .betti import (
     DEFAULT_GENERATOR_CAP,
@@ -41,13 +45,14 @@ from .exchange import is_polymatroidal
 from .generate import (
     SplitMix64,
     build_random_forest,
-    forest_edge_sets,
+    forest_classes,
     random_simple_graph,
 )
 from .graphs import (
     DistantConfig,
     WeightedOrientedGraph,
     _disjoint_sets,
+    _Forest,
     is_forest,
     is_strong_edge,
     matching_number,
@@ -98,14 +103,14 @@ def worker_count(explicit: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
-def _run_tasks(fn, tasks, workers: int, chunksize: int = 1):
+def _run_tasks(fn, tasks, workers: int):
     """Map fn over tasks, in order, inline or across processes."""
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+        return list(pool.map(fn, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +422,9 @@ def _agg_zero() -> dict[str, Any]:
 _DUMP_LIMIT = 25  # replayable instance docs kept per aggregate
 
 
-def _instance_doc(n: int, directed: list[tuple[int, int]], weights: list[int]) -> dict[str, Any]:
+def _instance_doc(
+    n: int, directed: Sequence[tuple[int, int]], weights: Sequence[int]
+) -> dict[str, Any]:
     """The graph document of one thm34 instance (``weights[v]`` is w(v))."""
     vertices = tuple(range(1, n + 1))
     return graph_to_doc(
@@ -425,8 +432,18 @@ def _instance_doc(n: int, directed: list[tuple[int, int]], weights: list[int]) -
     )
 
 
-def _thm34_forest_task(args: tuple[int, tuple, int]) -> dict[str, Any]:
-    n, underlying, w_max = args
+def _thm34_forest_task(args: tuple[int, tuple, tuple, int]) -> dict[str, Any]:
+    """Every orientation and weighting of some labelled copies of one forest.
+
+    ``args`` is (n, representative, copies, w_max), with ``copies`` a sequence
+    of (edges, p): the copy's edges and the permutation p that maps the
+    representative onto them (``p[v]`` the image of v).  The oracle verdicts,
+    the lower powers and the constant-degree checks do not change under
+    relabelling, so they run once per orientation and weighting of the
+    representative.  The classifier runs on every labelled instance, against
+    the copy's own plan, and every count and dump is per labelled instance.
+    """
+    n, underlying, copies, w_max = args
     agg = _agg_zero()
     by_size: list[list[tuple[int, ...]]] = [[]]
     for mt in _disjoint_sets(underlying):
@@ -440,8 +457,11 @@ def _thm34_forest_task(args: tuple[int, tuple, int]) -> dict[str, Any]:
     vertices = tuple(range(1, n + 1))
     if not is_forest(WeightedOrientedGraph(n, underlying, (1,) * n, vertices)):
         raise ValueError("classification requires a forest")
-    # one classifier plan serves every orientation and weighting of the forest
-    plan = ForestPlan(n, underlying)
+    # the representative's table: per orientation, one row per weighting with
+    # the weights, the oracle verdicts, the verdict all four must give (None
+    # if the oracles already differ) and the faults found below the classifier
+    table = []
+    skipped = constant_checked = 0
     for orient_mask in range(1 << m):
         directed = [
             underlying[i] if orient_mask >> i & 1 == 0 else (underlying[i][1], underlying[i][0])
@@ -450,57 +470,80 @@ def _thm34_forest_task(args: tuple[int, tuple, int]) -> dict[str, Any]:
         heads = sorted({h for _, h in directed})
         sources = [v for v in vertices if v not in heads]
         weights = [1] * (n + 1)
+        rows = []
         for combo in product(range(1, w_max + 1), repeat=len(heads)):
             if all(w == 1 for w in combo):
                 continue  # unweighted: the edge ideal equals the plain one
             for h, w in zip(heads, combo):
                 weights[h] = w
+            if any(weights[v] != 1 for v in sources):
+                raise ValueError("sources must have weight 1")
+            faults = []  # (dump, k); k is None for the top power
             # one product divides another only on equal supports, and a forest
             # has at most one perfect matching on a vertex set: no minimalizing
             gens_nu = tuple(sorted(_matching_products(n, directed, weights, by_size[nu])))
-            a, b, c = _oracles(gens_nu)
+            oracles = a, b, c = _oracles(gens_nu)
             if b is None or c is None:
-                agg["skipped_oracle"] += 1
-            if any(weights[v] != 1 for v in sources):
-                raise ValueError("sources must have weight 1")
-            d = evaluate_plan(plan, directed, weights).verdict
-            known = {v for v in (a, b, c, d) if v is not None}
-            agg["instances"] += 1
-            if len(known) > 1:
-                agg["disagreement_count"] += 1
-                if len(agg["disagreements"]) < _DUMP_LIMIT:
-                    agg["disagreements"].append(
-                        {
-                            "graph": _instance_doc(n, directed, weights),
-                            "verdicts": {
-                                "linearly_related": a,
-                                "polymatroidal": b,
-                                "linear_resolution": c,
-                                "classifier": d,
-                            },
-                        }
-                    )
+                skipped += 1
+            known = {v for v in oracles if v is not None}
+            want = known.pop() if len(known) == 1 else None
             if a:
-                agg["constant_degree_checked"] += 1
+                constant_checked += 1
                 if not _constant_degree_ok(gens_nu):
-                    agg["constant_degree_violations"].append(
-                        {"graph": _instance_doc(n, directed, weights)}
-                    )
+                    faults.append(("constant_degree_violations", None))
             for k in range(1, nu):
                 gens_k = tuple(sorted(_matching_products(n, directed, weights, by_size[k])))
-                lr = _oracles(gens_k)[0]
-                agg["low_power_checked"] += 1
-                if lr:
-                    agg["low_power_violations"].append(
-                        {"graph": _instance_doc(n, directed, weights), "k": k}
-                    )
-                    agg["constant_degree_checked"] += 1
+                if _oracles(gens_k)[0]:
+                    faults.append(("low_power_violations", k))
+                    constant_checked += 1
                     if not _constant_degree_ok(gens_k):
-                        agg["constant_degree_violations"].append(
-                            {"graph": _instance_doc(n, directed, weights), "k": k}
-                        )
+                        faults.append(("constant_degree_violations", k))
+            rows.append((tuple(weights), oracles, want, faults))
             for h in heads:
                 weights[h] = 1
+        table.append((directed, rows))
+    instances = sum(len(rows) for _, rows in table)
+    agg["instances"] = instances * len(copies)
+    agg["skipped_oracle"] = skipped * len(copies)
+    agg["low_power_checked"] = instances * (nu - 1) * len(copies)
+    agg["constant_degree_checked"] = constant_checked * len(copies)
+    for edges, p in copies:
+        # one plan per labelled forest, shared by its orientations and weightings
+        plan = ForestPlan(n, edges)
+        at = {e: i for i, e in enumerate(edges)}
+        slot = [0] * m  # slot[i]: the representative's edge that lands on edge i
+        for j, (s, t) in enumerate(underlying):
+            slot[at[(p[s], p[t]) if p[s] < p[t] else (p[t], p[s])]] = j
+        back = [0] * (n + 1)
+        for v in vertices:
+            back[p[v]] = v
+        relabel = itemgetter(*back)  # representative weights -> the copy's
+        for directed, rows in table:
+            moved = [(p[t], p[h]) for t, h in directed]
+            copy_directed = [moved[j] for j in slot]
+            for weights, (a, b, c), want, faults in rows:
+                copy_weights = relabel(weights)
+                d = evaluate_plan(plan, copy_directed, copy_weights).verdict
+                if d != want:
+                    agg["disagreement_count"] += 1
+                    if len(agg["disagreements"]) < _DUMP_LIMIT:
+                        agg["disagreements"].append(
+                            {
+                                "graph": _instance_doc(n, copy_directed, copy_weights),
+                                "verdicts": {
+                                    "linearly_related": a,
+                                    "polymatroidal": b,
+                                    "linear_resolution": c,
+                                    "classifier": d,
+                                },
+                            }
+                        )
+                for dump, k in faults:
+                    if len(agg[dump]) < _DUMP_LIMIT:
+                        doc = {"graph": _instance_doc(n, copy_directed, copy_weights)}
+                        if k is not None:
+                            doc["k"] = k
+                        agg[dump].append(doc)
     return agg
 
 
@@ -530,6 +573,11 @@ def verify_thm34_exhaustive(
 
     Also verifies that no matching power below the top one is linearly
     related, and the constant-exponent property on linearly related powers.
+    The forests come as isomorphism classes with their labelled copies: the
+    oracle side runs once per class (``forest_classes`` counts the classes
+    with matching number >= 2), the classifier once per labelled instance,
+    and every other count is per labelled instance.  With several workers
+    the copies of a class are split into one task per worker.
     No forest on 3 vertices has matching number 2, so max_n needs 4; at
     max_weight 1 every instance is unweighted and skipped, so it needs 2.
     """
@@ -537,19 +585,27 @@ def verify_thm34_exhaustive(
     _require_at_least("max_weight", max_weight, 2)
     w = worker_count(workers)
     started = time.perf_counter()
-    tasks = [
-        (n, underlying, max_weight)
-        for n in range(2, max_n + 1)
-        for underlying in forest_edge_sets(n)
-        if underlying
-    ]
-    # large forests first for better load balance across processes
+    tasks = []
+    classes = 0
+    for n in range(2, max_n + 1):
+        for underlying, copies in forest_classes(n):
+            if _Forest(n, underlying).nu < 2:
+                continue
+            classes += 1
+            step = -(-len(copies) // w)
+            tasks.extend(
+                (n, underlying, copies[i : i + step], max_weight)
+                for i in range(0, len(copies), step)
+            )
+    # large forests first for better load balance across processes; the sort
+    # is stable, so the dumps come in the same order for any worker count
     tasks.sort(key=lambda t: -len(t[1]))
-    results = _run_tasks(_thm34_forest_task, tasks, w, chunksize=8)
+    results = _run_tasks(_thm34_forest_task, tasks, w)
     total = _merge_aggs(results)
     total["command"] = "thm34-exhaustive"
     total["max_n"] = max_n
     total["max_weight"] = max_weight
+    total["forest_classes"] = classes
     total["elapsed_s"] = round(time.perf_counter() - started, 3)
     return total
 
@@ -680,7 +736,7 @@ def verify_lemma31(max_n: int = 6) -> dict[str, Any]:
     checked = 0
     mismatches = []
     for n in range(2, max_n + 1):
-        for underlying in forest_edge_sets(n):
+        for underlying in (edges for _, copies in forest_classes(n) for edges, _ in copies):
             if len(underlying) < 2:
                 continue
             D = WeightedOrientedGraph.build(n, underlying)

@@ -1,4 +1,5 @@
-"""Shared graph builders and a brute-force isomorphism check for tests."""
+"""Shared graph builders, the labelled forest enumerator and a brute-force
+isomorphism check for tests."""
 
 from __future__ import annotations
 
@@ -69,6 +70,39 @@ def oriented_weighted_isomorphic(D1: WeightedOrientedGraph, D2: WeightedOriented
         if all((mapping[t], mapping[h]) in edge_set2 for t, h in D1.edges):
             return True
     return False
+
+
+def forest_edge_sets(n):
+    """All acyclic subsets of the edges of the complete graph on 1..n, each a
+    sorted tuple of (low, high) pairs: the labelled reference for the class
+    enumerator ``generate.forest_classes``."""
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    out = []
+    for mask in range(1 << len(pairs)):
+        parent = list(range(n + 1))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        edges = []
+        ok = True
+        m = mask
+        while m:
+            bit = m & -m
+            m ^= bit
+            a, b = pairs[bit.bit_length() - 1]
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                ok = False
+                break
+            parent[ra] = rb
+            edges.append((a, b))
+        if ok:
+            out.append(tuple(edges))
+    return out
 
 
 def thm34_instances(n, underlying, max_weight=3):

@@ -1,13 +1,20 @@
 import inspect
 import sys
 from dataclasses import make_dataclass
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import in_star, path_graph, seven_vertex_example, thm34_graph, thm34_instances
+from conftest import (
+    forest_edge_sets,
+    in_star,
+    path_graph,
+    seven_vertex_example,
+    thm34_graph,
+    thm34_instances,
+)
 from matchpow import (
     DistantConfig,
     Monomial,
@@ -35,7 +42,7 @@ from matchpow.classify import (
     StrongEdgeNode,
     UnweightedBaseNode,
 )
-from matchpow.generate import SplitMix64, build_random_forest, forest_edge_sets
+from matchpow.generate import SplitMix64, build_random_forest, forest_classes
 from matchpow.harness import _thm34_forest_task
 from matchpow.serialize import certificate_from_doc, certificate_to_doc
 
@@ -456,7 +463,7 @@ def test_one_engine_pass_per_reachable_subforest_in_a_thm34_task(monkeypatch):
     p6 = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
     for underlying in (double_star, p6):
         passes.clear()
-        agg = _thm34_forest_task((6, underlying, 3))
+        agg = _thm34_forest_task((6, underlying, [(underlying, tuple(range(7)))], 3))
         task = list(passes)
         # the same instances one by one, each with a fresh plan
         passes.clear()
@@ -496,3 +503,48 @@ def test_plan_checks_each_childs_matching_number():
         with pytest.raises(AssertionError):
             classify.evaluate_plan(plan, D.edges, weights)
     assert classify.evaluate_plan(classify.ForestPlan(D.n, D.edges), D.edges, weights) == cert
+
+
+# -- weights on vertices that a deletion left as sources -------------------------
+
+# 3->1, 3->6, 1->2, 1->4, 2->5, 7->5 with w(1) = w(5) = 2: its top power
+# x1 x3 x5^2 x6 (x2 x4, x2 x7, x4 x7) is polymatroidal.  Peeling the strong edge
+# 36 leaves 1 a source, so its weight no longer counts.
+_PEELED = ([(3, 1), (3, 6), (1, 2), (1, 4), (2, 5), (7, 5)], {1: 2, 5: 2})
+
+
+def test_a_weight_left_on_a_new_source_counts_in_no_labelling():
+    edges, weights = _PEELED
+    D = WeightedOrientedGraph.build(7, edges, weights)
+    assert is_polymatroidal(matching_power(edge_ideal(D), matching_number(D)))
+    accepted = 0
+    for perm in permutations(range(1, 8)):
+        p = (0, *perm)
+        E = WeightedOrientedGraph.build(
+            7, [(p[t], p[h]) for t, h in edges], {p[v]: w for v, w in weights.items()}
+        )
+        cert = classify_last_power(E)
+        accepted += cert.verdict and verify_certificate(E, cert)
+    assert accepted == 5040
+    # the refutation that read the stale w(1) = 2 does not replay
+    assert D.delete({3, 6}).weight(1) == 1
+    stale = ClassificationCertificate(
+        False,
+        StrongEdgeNode(
+            DistantConfig((6,), 3, 1),
+            ClassificationCertificate(False, RefutedNode("pendant_exponent", (4,))),
+        ),
+    )
+    assert not verify_certificate(D, stale)
+
+
+def test_every_seven_vertex_forest_class_agrees_with_the_oracles():
+    # each class in its representative labelling, every orientation and
+    # weights up to 2
+    identity = tuple(range(8))
+    total = disagreements = 0
+    for rep, _ in forest_classes(7):
+        agg = _thm34_forest_task((7, rep, [(rep, identity)], 2))
+        total += agg["instances"]
+        disagreements += agg["disagreement_count"]
+    assert (total, disagreements) == (23_192, 0)

@@ -1,6 +1,6 @@
 from itertools import islice
 
-from conftest import oriented_weighted_isomorphic, seven_vertex_example
+from conftest import forest_edge_sets, oriented_weighted_isomorphic, seven_vertex_example
 from matchpow import (
     WeightedOrientedGraph,
     classify_last_power,
@@ -14,7 +14,7 @@ from matchpow.generate import (
     SplitMix64,
     build_random_forest,
     construct_linear_forests,
-    forest_edge_sets,
+    forest_classes,
 )
 
 
@@ -64,6 +64,31 @@ def test_enumerate_counts_forests_only():
     # the labelled forests on 4 vertices: 1 + 6 + 15 + 16 by edge count
     assert len(edge_sets) == len(set(edge_sets)) == 38
     assert all(is_forest(WeightedOrientedGraph.build(4, edges)) for edges in edge_sets)
+
+
+def _image(edges, p):
+    return tuple(sorted((p[a], p[b]) if p[a] < p[b] else (p[b], p[a]) for a, b in edges))
+
+
+def test_forest_classes_count_the_forests_with_an_edge():
+    # classes and labelled copies on n = 2..7 vertices (the empty forest left out)
+    classes = {n: forest_classes(n) for n in range(2, 8)}
+    assert [len(classes[n]) for n in range(2, 8)] == [1, 2, 5, 9, 19, 36]
+    copies = {n: [e for _, cs in classes[n] for e, _ in cs] for n in classes}
+    assert [len(copies[n]) for n in range(2, 8)] == [1, 6, 37, 290, 2_931, 36_960]
+    for n, found in classes.items():
+        assert len(set(copies[n])) == len(copies[n])  # no copy in two classes
+        for rep, cs in found:
+            assert cs[0] == (rep, tuple(range(n + 1)))  # the identity comes first
+            for edges, p in cs:
+                assert sorted(p) == list(range(n + 1)) and p[0] == 0
+                assert edges == _image(rep, p)
+
+
+def test_forest_classes_copy_every_labelled_forest():
+    for n in range(2, 7):
+        copies = [e for _, cs in forest_classes(n) for e, _ in cs]
+        assert set(copies) == set(forest_edge_sets(n)) - {()}
 
 
 # -- the recursive constructor ----------------------------------------------------

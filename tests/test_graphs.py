@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import in_star, seven_vertex_example, path_graph
+from conftest import forest_edge_sets, in_star, seven_vertex_example, path_graph
 from matchpow import (
     DistantConfig,
     IsolatedEdge,
@@ -22,7 +22,6 @@ from matchpow import (
 from matchpow.generate import (
     SplitMix64,
     build_random_forest,
-    forest_edge_sets,
     random_simple_graph,
 )
 from matchpow.graphs import _Forest, _blossom_nu, _disjoint_sets
@@ -330,8 +329,6 @@ def test_strong_edge_vertex_deletion_drops_matching_number(seed):
 
 
 def test_strong_edge_vertex_deletion_exhaustive_small_forests():
-    from matchpow.generate import forest_edge_sets
-
     for n in range(2, 6):
         for edges in forest_edge_sets(n):
             if not edges:

@@ -4,12 +4,19 @@ from math import factorial
 
 import pytest
 
-from conftest import in_star, seven_vertex_example, thm34_graph, thm34_instances
+from conftest import (
+    forest_edge_sets,
+    in_star,
+    seven_vertex_example,
+    thm34_graph,
+    thm34_instances,
+)
 from matchpow import (
     GeneratorCapError,
     Monomial,
     MonomialIdeal,
     WeightedOrientedGraph,
+    classify_last_power,
     cross_validate,
     has_linear_resolution,
     is_linearly_related,
@@ -17,12 +24,12 @@ from matchpow import (
     matching_number,
     matching_power_from_matchings,
 )
-from matchpow import harness
-from matchpow.generate import forest_edge_sets
+from matchpow import classify, harness
 from matchpow.graphs import _disjoint_sets
 from matchpow.harness import (
     _CANON_LIMIT,
     _canonical_key,
+    _constant_degree_ok,
     _oracles,
     _thm34_forest_task,
     _max_matching_supports,
@@ -221,6 +228,81 @@ def test_thm34_exhaustive_tiny():
     assert summary["skipped_oracle"] == 0
 
 
+_COUNTS = ("instances", "disagreement_count", "skipped_oracle", "low_power_checked",
+           "constant_degree_checked")
+_DUMPS = ("disagreements", "low_power_violations", "constant_degree_violations")
+
+
+def _labelled_thm34_summary(max_n, max_weight):
+    """The thm34 counts and dump sizes taken instance by instance over every
+    labelled forest, each power built from its matchings and classified afresh."""
+    out = dict.fromkeys(_COUNTS + _DUMPS, 0)
+    for n in range(2, max_n + 1):
+        for underlying in forest_edge_sets(n):
+            if not underlying:
+                continue
+            nu = matching_number(WeightedOrientedGraph.build(n, underlying))
+            if nu < 2:
+                continue
+            for directed, weights in thm34_instances(n, underlying, max_weight):
+                D = thm34_graph(n, directed, weights)
+                powers = [_exponents(matching_power_from_matchings(D, k)) for k in range(1, nu + 1)]
+                oracles = _oracles(powers[-1])
+                known = {v for v in oracles if v is not None} | {classify_last_power(D).verdict}
+                out["instances"] += 1
+                out["disagreement_count"] += len(known) > 1
+                out["disagreements"] += len(known) > 1
+                out["skipped_oracle"] += None in oracles
+                out["low_power_checked"] += nu - 1
+                for k, gens in enumerate(powers, 1):
+                    related = _oracles(gens)[0]
+                    if k < nu:
+                        out["low_power_violations"] += related
+                    if related:
+                        out["constant_degree_checked"] += 1
+                        out["constant_degree_violations"] += not _constant_degree_ok(gens)
+    for key in _DUMPS:
+        out[key] = min(out[key], harness._DUMP_LIMIT)
+    return out
+
+
+def test_thm34_classes_reproduce_the_labelled_summary():
+    summary = verify_thm34_exhaustive(max_n=5, max_weight=3, workers=1)
+    got = {key: summary[key] for key in _COUNTS} | {key: len(summary[key]) for key in _DUMPS}
+    assert got == _labelled_thm34_summary(5, 3)
+    assert (summary["instances"], summary["low_power_checked"]) == (93_528, 93_528)
+    assert summary["constant_degree_checked"] == 18_648
+    assert summary["forest_classes"] == 7  # P4, 2K2; P5, the chair, P4+K1, P3+K2, 2K2+K1
+
+
+def test_thm34_classifies_every_labelled_instance_with_its_own_plan(monkeypatch):
+    plans, evaluations = [], []
+
+    def plan(n, edges):
+        plans.append((n, edges))
+        return classify.ForestPlan(n, edges)
+
+    def evaluate(*args):
+        evaluations.append(args[0])
+        return classify.evaluate_plan(*args)
+
+    monkeypatch.setattr(harness, "ForestPlan", plan)
+    monkeypatch.setattr(harness, "evaluate_plan", evaluate)
+    verify_thm34_exhaustive(max_n=5, max_weight=3, workers=1)
+    assert len(evaluations) == 93_528
+    # one plan per labelled forest with matching number >= 2, never shared
+    assert len(set(plans)) == len(plans)
+    assert [sum(n == k for n, _ in plans) for k in (4, 5)] == [15, 225]
+    assert len(plans) == 15 + 225
+
+
+def test_thm34_exhaustive_summary_does_not_depend_on_the_worker_count():
+    one = verify_thm34_exhaustive(max_n=5, max_weight=2, workers=1)
+    two = verify_thm34_exhaustive(max_n=5, max_weight=2, workers=2)
+    del one["elapsed_s"], two["elapsed_s"]
+    assert one == two
+
+
 def test_thm34_random_small():
     summary = verify_thm34_random(trials=30, seed=5, max_n=6, max_weight=3)
     assert summary["disagreements"] == []
@@ -243,7 +325,7 @@ def test_lemma22_small():
 def test_lemma31_scan():
     summary = verify_lemma31(max_n=5)
     assert summary["mismatches"] == []
-    assert summary["configurations_checked"] > 100
+    assert summary["configurations_checked"] == 384
 
 
 def test_thm34_instances_draws_what_the_campaign_draws():
@@ -256,11 +338,13 @@ def test_thm34_instances_draws_what_the_campaign_draws():
             if matching_number(D) >= 2:
                 count = sum(1 for _ in thm34_instances(n, underlying))
             if n <= 4:
-                assert count == _thm34_forest_task((n, underlying, 3))["instances"], underlying
+                task = (n, underlying, [(underlying, tuple(range(n + 1)))], 3)
+                assert count == _thm34_forest_task(task)["instances"], underlying
             total += count
     assert total == 93_528
 
 
 def test_thm34_task_rejects_a_cycle():
     with pytest.raises(ValueError, match="forest"):
-        _thm34_forest_task((4, ((1, 2), (1, 4), (2, 3), (3, 4)), 3))
+        cycle = ((1, 2), (1, 4), (2, 3), (3, 4))
+        _thm34_forest_task((4, cycle, [(cycle, (0, 1, 2, 3, 4))], 3))
