@@ -363,6 +363,23 @@ def evaluate_plan(
     weight 1, which the caller checks.  The levels run on an explicit stack,
     one entry per level in progress, and a subforest reached twice is
     certified once.
+
+    The verdict depends on the weights only through the edge ideal's
+    pattern: for each edge, the endpoint whose exponent is above 1 (the head,
+    when its weight is not 1), or none.  A weight is read in two ways only:
+
+    - ``w(v) != 1`` together with v heading an edge of the subforest in hand
+      (``heavy``, the leaf, bridge and anchor tests): that edge is marked at v;
+    - in a set whose entries are 1 or the weight of a vertex an edge heads
+      (the star rule's ``shapes``, the pendant exponents ``deltas``).  The
+      set is only tested for one element, for a first entry of 1, or for
+      being ``{wb}``.  Its entries other than 1 are weights of the one
+      vertex b, whose ``wb`` is not 1 exactly when an edge is marked at b,
+      or are a star leaf's weight, which refutes whatever its value.  So
+      each test reads which edges are marked at b, never the value of w(b).
+
+    So every weighting and orientation with one pattern gets one verdict,
+    and a caller may classify one of them for all.
     """
     # ids of the edges whose head is weighted: a subforest without any of
     # them is the unweighted base (its non-sources are the heads of its edges)

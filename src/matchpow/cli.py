@@ -204,9 +204,10 @@ def _given(args, *names: str) -> dict[str, Any]:
 
 
 def _cmd_verify(args) -> int:
+    workers = getattr(args, "workers", None)
     if args.theorem == "thm11":
         if args.exhaustive:
-            summary = verify_thm11_exhaustive(workers=args.workers, **_given(args, "max_n"))
+            summary = verify_thm11_exhaustive(workers=workers, **_given(args, "max_n"))
             reports = []
         else:
             summary = verify_thm11_random(**_given(args, "trials", "max_n", "seed"))
@@ -217,7 +218,7 @@ def _cmd_verify(args) -> int:
     if args.theorem == "thm34":
         if args.exhaustive:
             summary = verify_thm34_exhaustive(
-                workers=args.workers, **_given(args, "max_n", "max_weight")
+                workers=workers, **_given(args, "max_n", "max_weight")
             )
             _write_reports(args.out, summary.get("disagreements", []))
             _emit(summary)
@@ -255,14 +256,20 @@ def _cmd_enumerate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # --workers goes before the subcommand or after verify; with SUPPRESS the
+    # verify parser keeps a value given before it, and args lack it when omitted
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument(
+        "--workers", type=int, default=argparse.SUPPRESS, help="process count for verification runs"
+    )
     parser = argparse.ArgumentParser(
         prog="matchpow",
         description=(
             "Matching powers of edge ideals of weighted oriented graphs: "
             "classification, exchange checks, and Betti-number oracles."
         ),
+        parents=[workers],
     )
-    parser.add_argument("--workers", type=int, help="process count for verification runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="decide polymatroidality of the last matching power")
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ideal")
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("verify", help="run a verification campaign")
+    p = sub.add_parser("verify", help="run a verification campaign", parents=[workers])
     p.add_argument("theorem", choices=["thm11", "thm34", "lemma22", "lemma31"])
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--trials", type=int)

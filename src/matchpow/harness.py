@@ -4,18 +4,23 @@ Every trial computes up to four verdicts for the last matching power of a
 weighted oriented forest: linearly related and linear resolution from the
 Betti machinery, polymatroidal from the exchange check, and the recursive
 classifier.  Every campaign reads the three oracle verdicts of a power from
-one memo, :func:`_oracles`.  Verdicts are invariant under relabelling
-variables, so the memo holds each answer under the exact generator tuple and
+one memo, :func:`_oracles`, or the linear-relation verdict alone from
+another, :func:`_linearly_related`.  Verdicts are invariant under relabelling
+variables, so a memo holds each answer under the exact generator tuple and
 under a permutation-canonical form of it; the oracles run once per canonical
 form.  The caps are the oracles' own: the Betti table's generator cap and a
 fixed number of exchange pairs, so no cap state enters the memo.  Exhaustive
 campaigns fan out across processes.  The thm34 campaign takes the forests as
-isomorphism classes with their labelled copies: the oracle side, which does
+isomorphism classes with their labelled copies.  The oracle side, which does
 not change under relabelling, runs once per orientation and weighting of a
-class representative, and each row of that table is mapped onto every
-labelled copy, where the classifier runs against the copy's own plan.  So the
-classifier still sees every labelled instance, and every count and dump is
-per labelled instance.  The thm11 campaign holds
+class representative; lower powers get the linear-relation check alone.  The
+rows of that table are grouped by edge-ideal pattern (per edge, the endpoint
+whose exponent is above 1, or none), on which the classifier's verdict
+depends alone.  Each pattern is mapped onto every labelled copy, where the
+classifier runs once against the copy's own plan; its verdict is compared
+with every row of the pattern, so every count and dump is per labelled
+instance.  ``pattern_splits`` counts the labelled patterns whose oracle
+verdicts differ across their weightings.  The thm11 campaign holds
 the matchable vertex masks of a graph as one bitset, extends it one edge at a
 time along the counting order of edge masks, and keeps a verdict cache local
 to each task, keyed by the exact set of maximum-matching supports: the
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -123,6 +129,9 @@ _EXCHANGE_MAX_PAIRS = 4000  # the exchange check is skipped above this many pair
 # generator tuple -> (linearly_related, polymatroidal, linear_resolution); a
 # tuple is held both exactly and in canonical form, since either names its ideal
 _verdicts: dict[tuple, tuple] = {}
+# generator tuple -> linearly_related, for powers whose other verdicts no
+# campaign reads; keyed like _verdicts
+_related: dict[tuple, bool] = {}
 
 
 def _canonical_key(gens: tuple[tuple[int, ...], ...]) -> tuple:
@@ -165,30 +174,47 @@ def _ideal_from_key(key: tuple) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(Monomial(g) for g in key))
 
 
+def _memoised(memo: dict[tuple, Any], gens: tuple[tuple[int, ...], ...], compute) -> Any:
+    """``compute`` of the ideal with the given sorted equigenerated exponents,
+    run once per canonical form and held under both keys."""
+    hit = memo.get(gens)
+    if hit is not None:
+        return hit
+    key = _canonical_key(gens)
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = compute(_ideal_from_key(key))
+    memo[gens] = result
+    return result
+
+
+def _triple(I: MonomialIdeal) -> tuple[bool, Optional[bool], Optional[bool]]:
+    g = len(I.gens)
+    b = is_polymatroidal(I) if g * (g - 1) <= _EXCHANGE_MAX_PAIRS else None
+    try:
+        c = has_linear_resolution(I)
+    except GeneratorCapError:
+        c = None
+    return (is_linearly_related(I), b, c)
+
+
 def _oracles(
     gens: tuple[tuple[int, ...], ...],
 ) -> tuple[Optional[bool], Optional[bool], Optional[bool]]:
     """(linearly_related, polymatroidal, linear_resolution) of the ideal with
     the given sorted generator exponents; None where an oracle's cap applies."""
-    hit = _verdicts.get(gens)
-    if hit is not None:
-        return hit
     if len({sum(g) for g in gens}) > 1:
         # mixed generation degrees: all three predicates are False outright
         return (False, False, False)
-    key = _canonical_key(gens)
-    result = _verdicts.get(key)
-    if result is None:
-        I = _ideal_from_key(key)
-        g = len(key)
-        b = is_polymatroidal(I) if g * (g - 1) <= _EXCHANGE_MAX_PAIRS else None
-        try:
-            c = has_linear_resolution(I)
-        except GeneratorCapError:
-            c = None
-        result = _verdicts[key] = (is_linearly_related(I), b, c)
-    _verdicts[gens] = result
-    return result
+    return _memoised(_verdicts, gens, _triple)
+
+
+def _linearly_related(gens: tuple[tuple[int, ...], ...]) -> bool:
+    """The first verdict of :func:`_oracles` alone, without the exchange check
+    and the Betti scan."""
+    if len({sum(g) for g in gens}) > 1:
+        return False
+    return _memoised(_related, gens, is_linearly_related)
 
 
 def _constant_degree_ok(gens: tuple[tuple[int, ...], ...]) -> bool:
@@ -411,6 +437,7 @@ def _agg_zero() -> dict[str, Any]:
         "instances": 0,
         "disagreement_count": 0,
         "disagreements": [],
+        "pattern_splits": 0,
         "skipped_oracle": 0,
         "low_power_checked": 0,
         "low_power_violations": [],
@@ -440,8 +467,13 @@ def _thm34_forest_task(args: tuple[int, tuple, tuple, int]) -> dict[str, Any]:
     representative onto them (``p[v]`` the image of v).  The oracle verdicts,
     the lower powers and the constant-degree checks do not change under
     relabelling, so they run once per orientation and weighting of the
-    representative.  The classifier runs on every labelled instance, against
-    the copy's own plan, and every count and dump is per labelled instance.
+    representative.  Its rows are grouped by edge-ideal pattern: for each
+    edge, the endpoint whose exponent is above 1, or none.  The classifier's
+    verdict depends on the weights only through the pattern (see
+    :func:`evaluate_plan`), so it runs once per pattern of every labelled
+    copy, on one row of the pattern mapped onto the copy and against the
+    copy's own plan, and is compared with every row of the pattern.  Every
+    count and dump is per labelled instance.
     """
     n, underlying, copies, w_max = args
     agg = _agg_zero()
@@ -457,10 +489,10 @@ def _thm34_forest_task(args: tuple[int, tuple, tuple, int]) -> dict[str, Any]:
     vertices = tuple(range(1, n + 1))
     if not is_forest(WeightedOrientedGraph(n, underlying, (1,) * n, vertices)):
         raise ValueError("classification requires a forest")
-    # the representative's table: per orientation, one row per weighting with
-    # the weights, the oracle verdicts, the verdict all four must give (None
-    # if the oracles already differ) and the faults found below the classifier
-    table = []
+    # the representative's rows by pattern; a row is (directed, weights, the
+    # oracle verdicts, the verdict all four must give (None if the oracles
+    # already differ), the faults found below the classifier)
+    by_pattern: dict[tuple[int, ...], list[tuple]] = {}
     skipped = constant_checked = 0
     for orient_mask in range(1 << m):
         directed = [
@@ -470,7 +502,6 @@ def _thm34_forest_task(args: tuple[int, tuple, tuple, int]) -> dict[str, Any]:
         heads = sorted({h for _, h in directed})
         sources = [v for v in vertices if v not in heads]
         weights = [1] * (n + 1)
-        rows = []
         for combo in product(range(1, w_max + 1), repeat=len(heads)):
             if all(w == 1 for w in combo):
                 continue  # unweighted: the edge ideal equals the plain one
@@ -493,22 +524,32 @@ def _thm34_forest_task(args: tuple[int, tuple, tuple, int]) -> dict[str, Any]:
                     faults.append(("constant_degree_violations", None))
             for k in range(1, nu):
                 gens_k = tuple(sorted(_matching_products(n, directed, weights, by_size[k])))
-                if _oracles(gens_k)[0]:
+                if _linearly_related(gens_k):
                     faults.append(("low_power_violations", k))
                     constant_checked += 1
                     if not _constant_degree_ok(gens_k):
                         faults.append(("constant_degree_violations", k))
-            rows.append((tuple(weights), oracles, want, faults))
+            pattern = tuple(h if weights[h] != 1 else 0 for _, h in directed)
+            by_pattern.setdefault(pattern, []).append(
+                (directed, tuple(weights), oracles, want, faults)
+            )
             for h in heads:
                 weights[h] = 1
-        table.append((directed, rows))
-    instances = sum(len(rows) for _, rows in table)
+    # per pattern: its rows, how many of them want each verdict, and the rows
+    # with faults
+    patterns = [
+        (rows, Counter(row[3] for row in rows), [row for row in rows if row[4]])
+        for rows in by_pattern.values()
+    ]
+    splits = sum(len({row[2] for row in rows}) > 1 for rows, _, _ in patterns)
+    instances = sum(len(rows) for rows, _, _ in patterns)
     agg["instances"] = instances * len(copies)
     agg["skipped_oracle"] = skipped * len(copies)
     agg["low_power_checked"] = instances * (nu - 1) * len(copies)
     agg["constant_degree_checked"] = constant_checked * len(copies)
+    agg["pattern_splits"] = splits * len(copies)
     for edges, p in copies:
-        # one plan per labelled forest, shared by its orientations and weightings
+        # one plan per labelled forest, shared by its patterns
         plan = ForestPlan(n, edges)
         at = {e: i for i, e in enumerate(edges)}
         slot = [0] * m  # slot[i]: the representative's edge that lands on edge i
@@ -518,29 +559,37 @@ def _thm34_forest_task(args: tuple[int, tuple, tuple, int]) -> dict[str, Any]:
         for v in vertices:
             back[p[v]] = v
         relabel = itemgetter(*back)  # representative weights -> the copy's
-        for directed, rows in table:
+
+        def place(directed, weights):
+            """A representative row's orientation and weights on the copy."""
             moved = [(p[t], p[h]) for t, h in directed]
-            copy_directed = [moved[j] for j in slot]
-            for weights, (a, b, c), want, faults in rows:
-                copy_weights = relabel(weights)
-                d = evaluate_plan(plan, copy_directed, copy_weights).verdict
-                if d != want:
-                    agg["disagreement_count"] += 1
-                    if len(agg["disagreements"]) < _DUMP_LIMIT:
-                        agg["disagreements"].append(
-                            {
-                                "graph": _instance_doc(n, copy_directed, copy_weights),
-                                "verdicts": {
-                                    "linearly_related": a,
-                                    "polymatroidal": b,
-                                    "linear_resolution": c,
-                                    "classifier": d,
-                                },
-                            }
-                        )
+            return [moved[j] for j in slot], relabel(weights)
+
+        for rows, wants, faulty in patterns:
+            d = evaluate_plan(plan, *place(*rows[0][:2])).verdict
+            missed = len(rows) - wants[d]
+            agg["disagreement_count"] += missed
+            if missed:
+                for directed, weights, (a, b, c), want, _ in rows:
+                    if len(agg["disagreements"]) >= _DUMP_LIMIT:
+                        break
+                    if want == d:
+                        continue
+                    agg["disagreements"].append(
+                        {
+                            "graph": _instance_doc(n, *place(directed, weights)),
+                            "verdicts": {
+                                "linearly_related": a,
+                                "polymatroidal": b,
+                                "linear_resolution": c,
+                                "classifier": d,
+                            },
+                        }
+                    )
+            for directed, weights, _, _, faults in faulty:
                 for dump, k in faults:
                     if len(agg[dump]) < _DUMP_LIMIT:
-                        doc = {"graph": _instance_doc(n, copy_directed, copy_weights)}
+                        doc = {"graph": _instance_doc(n, *place(directed, weights))}
                         if k is not None:
                             doc["k"] = k
                         agg[dump].append(doc)
@@ -555,6 +604,7 @@ def _merge_aggs(aggs: list[dict[str, Any]]) -> dict[str, Any]:
         total["skipped_oracle"] += a["skipped_oracle"]
         total["low_power_checked"] += a["low_power_checked"]
         total["constant_degree_checked"] += a["constant_degree_checked"]
+        total["pattern_splits"] += a["pattern_splits"]
         for key in ("disagreements", "low_power_violations", "constant_degree_violations"):
             room = _DUMP_LIMIT - len(total[key])
             if room > 0:
@@ -575,9 +625,11 @@ def verify_thm34_exhaustive(
     related, and the constant-exponent property on linearly related powers.
     The forests come as isomorphism classes with their labelled copies: the
     oracle side runs once per class (``forest_classes`` counts the classes
-    with matching number >= 2), the classifier once per labelled instance,
-    and every other count is per labelled instance.  With several workers
-    the copies of a class are split into one task per worker.
+    with matching number >= 2), the classifier once per labelled forest and
+    edge-ideal pattern, and every other count is per labelled instance;
+    ``pattern_splits`` counts the labelled (forest, pattern) pairs whose
+    oracle verdicts differ across weight values.  With several workers the
+    copies of a class are split into one task per worker.
     No forest on 3 vertices has matching number 2, so max_n needs 4; at
     max_weight 1 every instance is unweighted and skipped, so it needs 2.
     """

@@ -9,7 +9,7 @@ import pytest
 from conftest import seven_vertex_example, path_graph
 import matchpow
 from matchpow import WeightedOrientedGraph
-from matchpow import cli
+from matchpow import cli, harness
 from matchpow.cli import main
 from matchpow.classify import classify_last_power
 from matchpow.serialize import certificate_to_doc, save_graph, save_ideal, load_ideal
@@ -154,6 +154,28 @@ def test_verify_commands_small(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "lemma31", "--max-n", "4"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, workers",
+    [
+        (["--workers", "2", "verify", "thm34"], 2),
+        (["verify", "thm34", "--workers", "2"], 2),
+        (["--workers", "1", "verify", "thm34", "--workers", "2"], 2),
+        (["verify", "thm34"], None),
+    ],
+)
+def test_workers_goes_before_the_subcommand_or_after_verify(argv, workers, monkeypatch, capsys):
+    seen = []
+
+    def campaign(**kwargs):
+        seen.append(kwargs["workers"])
+        return harness.verify_thm34_exhaustive(**kwargs)
+
+    monkeypatch.setattr(cli, "verify_thm34_exhaustive", campaign)
+    assert main([*argv, "--exhaustive", "--max-n", "4", "--max-weight", "2"]) == 0
+    assert seen == [workers]
+    assert json.loads(capsys.readouterr().out)["disagreement_count"] == 0
 
 
 def test_verify_honours_zero_options(capsys):

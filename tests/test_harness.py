@@ -26,10 +26,12 @@ from matchpow import (
 )
 from matchpow import classify, harness
 from matchpow.graphs import _disjoint_sets
+from matchpow.serialize import graph_from_doc
 from matchpow.harness import (
     _CANON_LIMIT,
     _canonical_key,
     _constant_degree_ok,
+    _linearly_related,
     _oracles,
     _thm34_forest_task,
     _max_matching_supports,
@@ -72,6 +74,7 @@ def _exponents(I):
 
 def test_memo_matches_the_oracles_on_every_thm34_power_up_to_four_vertices(monkeypatch):
     monkeypatch.setattr(harness, "_verdicts", {})
+    monkeypatch.setattr(harness, "_related", {})
     instances = powers = 0
     for n in range(2, 5):
         for underlying in forest_edge_sets(n):
@@ -88,6 +91,8 @@ def test_memo_matches_the_oracles_on_every_thm34_power_up_to_four_vertices(monke
                     # relabelling the variables (here: reversing them) keeps the triple
                     reversed_gens = tuple(sorted(g.exponents[::-1] for g in I.gens))
                     assert _oracles(reversed_gens) == want
+                    for gens in (reversed_gens, _exponents(I)):
+                        assert _linearly_related(gens) == want[0]
                     powers += 1
     assert (instances, powers) == (1728, 3456)
 
@@ -229,13 +234,23 @@ def test_thm34_exhaustive_tiny():
 
 
 _COUNTS = ("instances", "disagreement_count", "skipped_oracle", "low_power_checked",
-           "constant_degree_checked")
+           "constant_degree_checked", "pattern_splits")
 _DUMPS = ("disagreements", "low_power_violations", "constant_degree_violations")
+
+
+def _pattern(directed, weights):
+    """The edge ideal's pattern: per edge, the endpoint with exponent above 1, or 0."""
+    return tuple(h if weights[h] != 1 else 0 for _, h in directed)
 
 
 def _labelled_thm34_summary(max_n, max_weight):
     """The thm34 counts and dump sizes taken instance by instance over every
-    labelled forest, each power built from its matchings and classified afresh."""
+    labelled forest, each power built from its matchings and classified afresh.
+
+    Also asserts that the classifier's verdict is constant on each labelled
+    forest and edge-ideal pattern, the premise of the campaign's one
+    classifier run per pattern, and counts the patterns whose oracle verdicts
+    are not."""
     out = dict.fromkeys(_COUNTS + _DUMPS, 0)
     for n in range(2, max_n + 1):
         for underlying in forest_edge_sets(n):
@@ -244,11 +259,17 @@ def _labelled_thm34_summary(max_n, max_weight):
             nu = matching_number(WeightedOrientedGraph.build(n, underlying))
             if nu < 2:
                 continue
+            by_pattern = {}
             for directed, weights in thm34_instances(n, underlying, max_weight):
                 D = thm34_graph(n, directed, weights)
                 powers = [_exponents(matching_power_from_matchings(D, k)) for k in range(1, nu + 1)]
                 oracles = _oracles(powers[-1])
-                known = {v for v in oracles if v is not None} | {classify_last_power(D).verdict}
+                verdict = classify_last_power(D).verdict
+                pattern = _pattern(directed, weights)
+                seen, triples = by_pattern.setdefault(pattern, (verdict, set()))
+                assert seen == verdict, (D, pattern)
+                triples.add(oracles)
+                known = {v for v in oracles if v is not None} | {verdict}
                 out["instances"] += 1
                 out["disagreement_count"] += len(known) > 1
                 out["disagreements"] += len(known) > 1
@@ -261,6 +282,7 @@ def _labelled_thm34_summary(max_n, max_weight):
                     if related:
                         out["constant_degree_checked"] += 1
                         out["constant_degree_violations"] += not _constant_degree_ok(gens)
+            out["pattern_splits"] += sum(len(triples) > 1 for _, triples in by_pattern.values())
     for key in _DUMPS:
         out[key] = min(out[key], harness._DUMP_LIMIT)
     return out
@@ -289,11 +311,68 @@ def test_thm34_classifies_every_labelled_instance_with_its_own_plan(monkeypatch)
     monkeypatch.setattr(harness, "ForestPlan", plan)
     monkeypatch.setattr(harness, "evaluate_plan", evaluate)
     verify_thm34_exhaustive(max_n=5, max_weight=3, workers=1)
-    assert len(evaluations) == 93_528
+    # one evaluation per labelled forest and edge-ideal pattern (93,528 instances)
+    assert len(evaluations) == 11_664
     # one plan per labelled forest with matching number >= 2, never shared
     assert len(set(plans)) == len(plans)
     assert [sum(n == k for n, _ in plans) for k in (4, 5)] == [15, 225]
     assert len(plans) == 15 + 225
+
+
+def test_thm34_disagreements_are_counted_and_dumped_per_labelled_instance(monkeypatch):
+    target = ((1, 2), (1, 3), (3, 4), (3, 5))  # one labelled copy of the chair
+
+    def flipped(plan, directed, weights):
+        cert = classify.evaluate_plan(plan, directed, weights)
+        if plan.edges == target:
+            return classify.ClassificationCertificate(not cert.verdict, cert.trace)
+        return cert
+
+    monkeypatch.setattr(harness, "evaluate_plan", flipped)
+    summary = verify_thm34_exhaustive(max_n=5, max_weight=3, workers=1)
+    instances = {(tuple(sorted(d)), tuple(w)) for d, w in thm34_instances(5, target)}
+    patterns = {_pattern(d, w) for d, w in thm34_instances(5, target)}
+    assert len(instances) > len(patterns) > harness._DUMP_LIMIT
+    assert summary["disagreement_count"] == len(instances)
+    dumps = summary["disagreements"]
+    assert len(dumps) == harness._DUMP_LIMIT
+    assert len({json.dumps(doc, sort_keys=True) for doc in dumps}) == len(dumps)
+    for doc in dumps:
+        D = graph_from_doc(doc["graph"])
+        assert (D.edges, (1, *D.weights)) in instances
+        verdicts = doc["verdicts"]
+        want = _direct(matching_power_from_matchings(D, 2))
+        assert (
+            verdicts["linearly_related"],
+            verdicts["polymatroidal"],
+            verdicts["linear_resolution"],
+        ) == want
+        assert verdicts["classifier"] == (not classify_last_power(D).verdict)
+
+
+def test_thm34_counts_and_dumps_the_patterns_whose_oracles_split(monkeypatch):
+    # oracles that read a weight's value: a top power with an exponent 3 is refuted
+    def oracles(gens):
+        return (False,) * 3 if any(3 in g for g in gens) else _oracles(gens)
+
+    monkeypatch.setattr(harness, "_oracles", oracles)
+    summary = verify_thm34_exhaustive(max_n=4, max_weight=3, workers=1)
+    splits = disagreements = 0
+    for underlying in forest_edge_sets(4):
+        if not underlying or matching_number(WeightedOrientedGraph.build(4, underlying)) < 2:
+            continue
+        by_pattern = {}
+        for directed, weights in thm34_instances(4, underlying):
+            D = thm34_graph(4, directed, weights)
+            triple = oracles(_exponents(matching_power_from_matchings(D, 2)))
+            by_pattern.setdefault(_pattern(directed, weights), set()).add(triple)
+            disagreements += len(set(triple) | {classify_last_power(D).verdict}) > 1
+        splits += sum(len(triples) > 1 for triples in by_pattern.values())
+    assert summary["pattern_splits"] == splits > 0
+    assert summary["disagreement_count"] == disagreements > harness._DUMP_LIMIT
+    # the rows of a split pattern that agree with its classifier verdict are not dumped
+    for doc in summary["disagreements"]:
+        assert len(set(doc["verdicts"].values())) > 1
 
 
 def test_thm34_exhaustive_summary_does_not_depend_on_the_worker_count():
