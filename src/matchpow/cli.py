@@ -52,48 +52,6 @@ def _emit(doc: Any) -> None:
     sys.stdout.write("\n")
 
 
-def _json_members(container: Any, pad: str):
-    """(text before it, member) for each member of a nonempty JSON container."""
-    sep = pad
-    if isinstance(container, dict):
-        for key, value in container.items():
-            # json's rule for keys: a string as it is, a scalar by its JSON text
-            yield sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", value
-            sep = "," + pad
-    else:
-        for value in container:
-            yield sep, value
-            sep = "," + pad
-
-
-def _json_text(doc: Any) -> str:
-    """``json.dumps(doc, indent=2)`` on an explicit stack: a certificate nests
-    two objects per classifier level, deeper than ``json.dumps`` can recurse
-    on long paths."""
-    parts: list[str] = []
-    stack = []  # (members left, closing text) per open container
-    value = doc
-    while True:
-        if isinstance(value, (dict, list, tuple)) and value:
-            pad = "\n" + "  " * len(stack)
-            brackets = "{}" if isinstance(value, dict) else "[]"
-            parts.append(brackets[0])
-            stack.append((_json_members(value, pad + "  "), pad + brackets[1]))
-        else:
-            parts.append(json.dumps(value))
-        while stack:
-            members, closing = stack[-1]
-            member = next(members, None)
-            if member is not None:
-                parts.append(member[0])
-                value = member[1]
-                break
-            parts.append(closing)
-            stack.pop()
-        else:
-            return "".join(parts)
-
-
 def _load_graph_normalized(path: str):
     D = load_graph(path)
     normalized = D.normalize_sources()
@@ -122,9 +80,8 @@ def _cmd_classify(args) -> int:
     D = _load_graph_normalized(args.graph)
     cert = classify_last_power(D)
     if args.certificate:
-        Path(args.certificate).write_text(
-            _json_text(certificate_to_doc(cert)) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(certificate_to_doc(cert), indent=2) + "\n"
+        Path(args.certificate).write_text(text, encoding="utf-8")
     replay = None
     if args.verify:
         replay = verify_certificate(D, cert)

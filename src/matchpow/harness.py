@@ -19,12 +19,14 @@ whose exponent is above 1, or none), on which the classifier's verdict
 depends alone.  Each pattern is mapped onto every labelled copy, where the
 classifier runs once against the copy's own plan; its verdict is compared
 with every row of the pattern, so every count and dump is per labelled
-instance.  ``pattern_splits`` counts the labelled patterns whose oracle
-verdicts differ across their weightings.  The thm11 campaign holds
-the matchable vertex masks of a graph as one bitset, extends it one edge at a
-time along the counting order of edge masks, and keeps a verdict cache local
-to each task, keyed by the exact set of maximum-matching supports: the
-exchange check runs once per distinct support set in a task.
+instance; the copies take the pattern's rows in turn, so a class with k
+copies classifies the first k rows of each pattern.  ``pattern_splits``
+counts the labelled patterns whose known oracle verdicts differ across their
+weightings.  The thm11 campaign holds the matchable vertex masks of a graph
+as one bitset, extends it one edge at a time along the counting order of edge
+masks, and keeps a verdict cache local to each task, keyed by the exact set
+of maximum-matching supports: the exchange check runs once per distinct
+support set in a task.
 """
 
 from __future__ import annotations
@@ -459,12 +461,13 @@ def _instance_doc(
     )
 
 
-def _thm34_forest_task(args: tuple[int, tuple, tuple, int]) -> dict[str, Any]:
+def _thm34_forest_task(args: tuple[int, tuple, tuple, int, int]) -> dict[str, Any]:
     """Every orientation and weighting of some labelled copies of one forest.
 
-    ``args`` is (n, representative, copies, w_max), with ``copies`` a sequence
-    of (edges, p): the copy's edges and the permutation p that maps the
-    representative onto them (``p[v]`` the image of v).  The oracle verdicts,
+    ``args`` is (n, representative, copies, w_max, offset), with ``copies`` a
+    sequence of (edges, p): the copy's edges and the permutation p that maps
+    the representative onto them (``p[v]`` the image of v), and ``offset`` the
+    index of the first of them among the class's copies.  The oracle verdicts,
     the lower powers and the constant-degree checks do not change under
     relabelling, so they run once per orientation and weighting of the
     representative.  Its rows are grouped by edge-ideal pattern: for each
@@ -472,10 +475,12 @@ def _thm34_forest_task(args: tuple[int, tuple, tuple, int]) -> dict[str, Any]:
     verdict depends on the weights only through the pattern (see
     :func:`evaluate_plan`), so it runs once per pattern of every labelled
     copy, on one row of the pattern mapped onto the copy and against the
-    copy's own plan, and is compared with every row of the pattern.  Every
-    count and dump is per labelled instance.
+    copy's own plan, and is compared with every row of the pattern.  The
+    class's copy c takes row c modulo the pattern's row count, so a class
+    with k copies classifies the first k rows of each pattern.  Every count
+    and dump is per labelled instance.
     """
-    n, underlying, copies, w_max = args
+    n, underlying, copies, w_max, offset = args
     agg = _agg_zero()
     by_size: list[list[tuple[int, ...]]] = [[]]
     for mt in _disjoint_sets(underlying):
@@ -541,14 +546,18 @@ def _thm34_forest_task(args: tuple[int, tuple, tuple, int]) -> dict[str, Any]:
         (rows, Counter(row[3] for row in rows), [row for row in rows if row[4]])
         for rows in by_pattern.values()
     ]
-    splits = sum(len({row[2] for row in rows}) > 1 for rows, _, _ in patterns)
+    # a split: two rows give one oracle two known verdicts (a skip is None)
+    splits = sum(
+        any(len({row[2][i] for row in rows} - {None}) > 1 for i in range(3))
+        for rows, _, _ in patterns
+    )
     instances = sum(len(rows) for rows, _, _ in patterns)
     agg["instances"] = instances * len(copies)
     agg["skipped_oracle"] = skipped * len(copies)
     agg["low_power_checked"] = instances * (nu - 1) * len(copies)
     agg["constant_degree_checked"] = constant_checked * len(copies)
     agg["pattern_splits"] = splits * len(copies)
-    for edges, p in copies:
+    for copy_no, (edges, p) in enumerate(copies, offset):
         # one plan per labelled forest, shared by its patterns
         plan = ForestPlan(n, edges)
         at = {e: i for i, e in enumerate(edges)}
@@ -566,7 +575,7 @@ def _thm34_forest_task(args: tuple[int, tuple, tuple, int]) -> dict[str, Any]:
             return [moved[j] for j in slot], relabel(weights)
 
         for rows, wants, faulty in patterns:
-            d = evaluate_plan(plan, *place(*rows[0][:2])).verdict
+            d = evaluate_plan(plan, *place(*rows[copy_no % len(rows)][:2])).verdict
             missed = len(rows) - wants[d]
             agg["disagreement_count"] += missed
             if missed:
@@ -597,18 +606,14 @@ def _thm34_forest_task(args: tuple[int, tuple, tuple, int]) -> dict[str, Any]:
 
 
 def _merge_aggs(aggs: list[dict[str, Any]]) -> dict[str, Any]:
+    """Counts summed, dumps concatenated up to ``_DUMP_LIMIT``, key by key."""
     total = _agg_zero()
     for a in aggs:
-        total["instances"] += a["instances"]
-        total["disagreement_count"] += a["disagreement_count"]
-        total["skipped_oracle"] += a["skipped_oracle"]
-        total["low_power_checked"] += a["low_power_checked"]
-        total["constant_degree_checked"] += a["constant_degree_checked"]
-        total["pattern_splits"] += a["pattern_splits"]
-        for key in ("disagreements", "low_power_violations", "constant_degree_violations"):
-            room = _DUMP_LIMIT - len(total[key])
-            if room > 0:
-                total[key].extend(a[key][:room])
+        for key, value in total.items():
+            if isinstance(value, list):
+                value.extend(a[key][: _DUMP_LIMIT - len(value)])
+            else:
+                total[key] += a[key]
     return total
 
 
@@ -628,8 +633,8 @@ def verify_thm34_exhaustive(
     with matching number >= 2), the classifier once per labelled forest and
     edge-ideal pattern, and every other count is per labelled instance;
     ``pattern_splits`` counts the labelled (forest, pattern) pairs whose
-    oracle verdicts differ across weight values.  With several workers the
-    copies of a class are split into one task per worker.
+    known oracle verdicts differ across weight values.  With several workers
+    the copies of a class are split into one task per worker.
     No forest on 3 vertices has matching number 2, so max_n needs 4; at
     max_weight 1 every instance is unweighted and skipped, so it needs 2.
     """
@@ -646,7 +651,7 @@ def verify_thm34_exhaustive(
             classes += 1
             step = -(-len(copies) // w)
             tasks.extend(
-                (n, underlying, copies[i : i + step], max_weight)
+                (n, underlying, copies[i : i + step], max_weight, i)
                 for i in range(0, len(copies), step)
             )
     # large forests first for better load balance across processes; the sort

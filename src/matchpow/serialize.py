@@ -2,14 +2,15 @@
 
 Graph documents name vertices (position in ``vertices`` is the index); ideal
 documents are canonical: generators sorted lexicographically by exponent
-vector.  Certificates mirror the trace node kinds of the classifier.
+vector.  A certificate document lists the classifier trace's nodes flat, in
+preorder, each child field holding the index of a later node.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 from .classify import (
     ClassificationCertificate,
@@ -167,10 +168,9 @@ def _config_from_doc(doc: Any) -> DistantConfig:
     )
 
 
-# Certificates are one level deep per matching-number step, so both
-# directions walk the tree with an explicit stack.
-
-# The node kinds, each with its certificate-valued fields in document order.
+# A certificate is one level deep per matching-number step, so its document
+# lists the nodes flat rather than nesting them.  The node kinds, each with its
+# child fields in document order; a child field holds a later node's index.
 _CHILDREN: dict[str, tuple[str, ...]] = {
     "unweighted_base": (),
     "single_matching_base": (),
@@ -183,23 +183,25 @@ _CHILDREN: dict[str, tuple[str, ...]] = {
 
 
 def certificate_to_doc(cert: ClassificationCertificate) -> dict[str, Any]:
-    root: dict[str, Any] = {}
-    stack = [(cert, root)]
+    """``{"nodes": [...]}``: the tree's nodes in preorder, the root first."""
+    nodes: list[dict[str, Any]] = []
+    stack = [(cert, None, "")]  # (certificate, its parent's node, the field naming it there)
     while stack:
-        cert, doc = stack.pop()
-        trace = _node_to_doc(cert.trace)
-        doc["verdict"] = cert.verdict
-        doc["trace"] = trace
-        for name in _CHILDREN[trace["kind"]]:
+        cert, parent, name = stack.pop()
+        if parent is not None:
+            parent[name] = len(nodes)
+        node = {"verdict": cert.verdict, **_node_to_doc(cert.trace)}
+        nodes.append(node)
+        for name in reversed(_CHILDREN[node["kind"]]):
             child = getattr(cert.trace, name)
             if child is not None:
-                trace[name] = {}
-                stack.append((child, trace[name]))
-    return root
+                stack.append((child, node, name))
+    return {"nodes": nodes}
 
 
 def _node_to_doc(node: Any) -> dict[str, Any]:
-    """The node's own fields; :func:`certificate_to_doc` adds the children."""
+    """The node's kind and own fields; :func:`certificate_to_doc` adds the
+    verdict and the child indices."""
     if isinstance(node, UnweightedBaseNode):
         return {"kind": "unweighted_base"}
     if isinstance(node, NuOneBaseNode):
@@ -218,28 +220,34 @@ def _node_to_doc(node: Any) -> dict[str, Any]:
 
 
 def certificate_from_doc(doc: dict[str, Any]) -> ClassificationCertificate:
-    # Parse parents before children, then build children before parents: in
-    # reverse parse order each node's children are the top of ``built``.
-    parsed = []
-    stack = [doc]
-    while stack:
-        cert_doc = _object(stack.pop(), "certificate")
-        verdict = _bool(_field(cert_doc, "verdict", "certificate"), "verdict")
-        trace = _object(_field(cert_doc, "trace", "certificate"), "certificate node")
-        kind = trace.get("kind")
+    nodes = _array(_field(_object(doc, "certificate"), "nodes", "certificate"), "nodes")
+    if not nodes:
+        raise ValueError("certificate document has no nodes")
+    # children come after their parents, so building from the last node back
+    # finds every child built; a used child's slot is emptied
+    built: list[Optional[ClassificationCertificate]] = [None] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        node = _object(nodes[i], "certificate node")
+        verdict = _bool(_field(node, "verdict", "certificate node"), "verdict")
+        kind = node.get("kind")
         if not isinstance(kind, str) or kind not in _CHILDREN:
             raise ValueError(f"unknown certificate node kind {kind!r}")
-        if kind == "refuted":  # the one kind whose child is optional
-            children = [] if trace.get("child") is None else [trace["child"]]
-        else:
-            children = [_field(trace, name, kind) for name in _CHILDREN[kind]]
-        parsed.append((verdict, trace, kind, len(children)))
-        stack.extend(children)
-    built: list[ClassificationCertificate] = []
-    for verdict, trace, kind, count in reversed(parsed):
-        children = built[len(built) - count:]
-        del built[len(built) - count:]
-        built.append(ClassificationCertificate(verdict, _node_from_doc(kind, trace, children)))
+        names = _CHILDREN[kind]
+        if kind == "refuted" and node.get("child") is None:
+            names = ()  # the one kind whose child is optional
+        children = []
+        for name in names:
+            j = _int(_field(node, name, kind), name)
+            if not i < j < len(nodes):
+                raise ValueError(f"{name} of node {i} must index a later node, got {j}")
+            if built[j] is None:
+                raise ValueError(f"node {j} is the child of two nodes")
+            children.append(built[j])
+            built[j] = None
+        built[i] = ClassificationCertificate(verdict, _node_from_doc(kind, node, children))
+    orphan = next((j for j in range(1, len(nodes)) if built[j] is not None), None)
+    if orphan is not None:
+        raise ValueError(f"node {orphan} is no node's child")
     return built[0]
 
 

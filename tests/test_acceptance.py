@@ -253,7 +253,7 @@ def test_criterion_9_orientation_mismatch_fixture():
         "9",
         "mixed pendant orientations refute with a pendant-exponent witness",
         ok,
-        f"trace={certificate_to_doc(cert1)['trace']['condition']}",
+        f"trace={certificate_to_doc(cert1)['nodes'][0]['condition']}",
     )
 
 

@@ -378,10 +378,11 @@ def test_certificate_equality_walks_deep_trees():
     a, b = classify_last_power(D), classify_last_power(D)
     assert a is not b and a == b
     doc = certificate_to_doc(a)
-    bottom = doc
-    while "child" in bottom["trace"]:
-        bottom = bottom["trace"]["child"]
-    bottom["trace"]["polymatroidal"] = False
+    nodes = doc["nodes"]
+    bottom = nodes[0]
+    while "child" in bottom:
+        bottom = nodes[bottom["child"]]
+    bottom["polymatroidal"] = False
     assert a != certificate_from_doc(doc)  # differs only at the bottom level
     assert a != ClassificationCertificate(True, UnweightedBaseNode())
     assert a != "not a certificate"
@@ -463,7 +464,7 @@ def test_one_engine_pass_per_reachable_subforest_in_a_thm34_task(monkeypatch):
     p6 = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
     for underlying in (double_star, p6):
         passes.clear()
-        agg = _thm34_forest_task((6, underlying, [(underlying, tuple(range(7)))], 3))
+        agg = _thm34_forest_task((6, underlying, [(underlying, tuple(range(7)))], 3, 0))
         task = list(passes)
         # the same instances one by one, each with a fresh plan
         passes.clear()
@@ -544,7 +545,7 @@ def test_every_seven_vertex_forest_class_agrees_with_the_oracles():
     identity = tuple(range(8))
     total = disagreements = 0
     for rep, _ in forest_classes(7):
-        agg = _thm34_forest_task((7, rep, [(rep, identity)], 2))
+        agg = _thm34_forest_task((7, rep, [(rep, identity)], 2, 0))
         total += agg["instances"]
         disagreements += agg["disagreement_count"]
     assert (total, disagreements) == (23_192, 0)

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,3 +110,40 @@ def test_products_of_polymatroidal_last_powers(seed):
     P2 = matching_power(edge_ideal(G2), matching_number(G2))
     assert is_polymatroidal(P1 * P2)
 
+
+
+def _exchange_failures(gens):
+    """Every (u, v, i) of the definition with deg_i(u) > deg_i(v) and no
+    exchange x_j * u / x_i in the generators, i counted from 0."""
+    genset, n = set(gens), len(gens[0])
+
+    def exchanged(u, i, j):
+        return tuple(e - (k == i) + (k == j) for k, e in enumerate(u))
+
+    return [
+        (u, v, i)
+        for u, v in product(gens, repeat=2)
+        for i in range(n)
+        if u[i] > v[i] and not any(u[j] < v[j] and exchanged(u, i, j) in genset for j in range(n))
+    ]
+
+
+def test_exchange_check_matches_the_definition_on_random_ideals():
+    rng = random.Random(20261022)
+    for _ in range(4000):
+        n, d = rng.randint(2, 4), rng.randint(1, 3)
+        degree_d = [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
+        gens = rng.sample(degree_d, rng.randint(1, len(degree_d)))
+        I = MonomialIdeal.from_monomials(n, [Monomial(g) for g in gens])
+        ok, failure = check_exchange(I)
+        assert ok == (not _exchange_failures(gens)), gens
+        if not ok:
+            _assert_failure_checkable(I, failure)
+
+
+def test_an_exchange_that_fails_only_by_lowering_the_last_variable():
+    gens = [(0, 1, 1), (1, 0, 1), (2, 0, 0)]  # x2x3, x1x3, x1^2
+    assert {i for _, _, i in _exchange_failures(gens)} == {2}
+    ok, failure = check_exchange(ideal(3, *gens))
+    assert not ok and failure.i == 3
+    _assert_failure_checkable(ideal(3, *gens), failure)

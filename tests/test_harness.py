@@ -25,6 +25,7 @@ from matchpow import (
     matching_power_from_matchings,
 )
 from matchpow import classify, harness
+from matchpow.generate import forest_classes
 from matchpow.graphs import _disjoint_sets
 from matchpow.serialize import graph_from_doc
 from matchpow.harness import (
@@ -243,6 +244,13 @@ def _pattern(directed, weights):
     return tuple(h if weights[h] != 1 else 0 for _, h in directed)
 
 
+def _split(triples):
+    """Two of the oracle triples differ on an oracle that both of them answer."""
+    return any(
+        x != y and None not in (x, y) for s, t in combinations(triples, 2) for x, y in zip(s, t)
+    )
+
+
 def _labelled_thm34_summary(max_n, max_weight):
     """The thm34 counts and dump sizes taken instance by instance over every
     labelled forest, each power built from its matchings and classified afresh.
@@ -282,7 +290,7 @@ def _labelled_thm34_summary(max_n, max_weight):
                     if related:
                         out["constant_degree_checked"] += 1
                         out["constant_degree_violations"] += not _constant_degree_ok(gens)
-            out["pattern_splits"] += sum(len(triples) > 1 for _, triples in by_pattern.values())
+            out["pattern_splits"] += sum(_split(triples) for _, triples in by_pattern.values())
     for key in _DUMPS:
         out[key] = min(out[key], harness._DUMP_LIMIT)
     return out
@@ -367,12 +375,60 @@ def test_thm34_counts_and_dumps_the_patterns_whose_oracles_split(monkeypatch):
             triple = oracles(_exponents(matching_power_from_matchings(D, 2)))
             by_pattern.setdefault(_pattern(directed, weights), set()).add(triple)
             disagreements += len(set(triple) | {classify_last_power(D).verdict}) > 1
-        splits += sum(len(triples) > 1 for triples in by_pattern.values())
+        splits += sum(_split(triples) for triples in by_pattern.values())
     assert summary["pattern_splits"] == splits > 0
     assert summary["disagreement_count"] == disagreements > harness._DUMP_LIMIT
     # the rows of a split pattern that agree with its classifier verdict are not dumped
     for doc in summary["disagreements"]:
         assert len(set(doc["verdicts"].values())) > 1
+
+
+def test_thm34_skipped_oracles_split_no_pattern(monkeypatch):
+    # linear resolution is skipped on the top powers with an exponent 3 and
+    # known on the other rows of their patterns
+    def oracles(gens):
+        a, b, c = _oracles(gens)
+        return (a, b, None) if any(3 in g for g in gens) else (a, b, c)
+
+    monkeypatch.setattr(harness, "_oracles", oracles)
+    summary = verify_thm34_exhaustive(max_n=4, max_weight=3, workers=1)
+    assert summary["skipped_oracle"] > 0
+    assert summary["pattern_splits"] == 0
+    assert summary["disagreement_count"] == 0
+
+
+def test_thm34_classifies_rows_of_every_weight_value(monkeypatch):
+    # a classifier that misreads a weight of 3 on a marked vertex; a pattern's
+    # first row has weight 2 on every marked vertex
+    def misreads_three(plan, directed, weights):
+        cert = classify.evaluate_plan(plan, directed, weights)
+        if any(weights[h] == 3 for _, h in directed):
+            return classify.ClassificationCertificate(not cert.verdict, cert.trace)
+        return cert
+
+    monkeypatch.setattr(harness, "evaluate_plan", misreads_three)
+    one = verify_thm34_exhaustive(max_n=5, max_weight=3, workers=1)
+    # copy c of a class classifies row c mod (rows of the pattern); when that
+    # row has a weight 3 on a marked vertex, every row of the pattern misses
+    expected = 0
+    for n in range(4, 6):
+        for underlying, copies in forest_classes(n):
+            if matching_number(WeightedOrientedGraph.build(n, underlying)) < 2:
+                continue
+            by_pattern = {}
+            for directed, weights in thm34_instances(n, underlying):
+                by_pattern.setdefault(_pattern(directed, weights), []).append((directed, weights))
+            for c in range(len(copies)):
+                for rows in by_pattern.values():
+                    directed, weights = rows[c % len(rows)]
+                    if any(weights[h] == 3 for _, h in directed):
+                        expected += len(rows)
+    assert one["disagreement_count"] == expected > 0
+    # each copy takes its row by its index among all the class's copies, so
+    # splitting the copies across workers classifies the same rows
+    two = verify_thm34_exhaustive(max_n=5, max_weight=3, workers=2)
+    del one["elapsed_s"], two["elapsed_s"]
+    assert one == two
 
 
 def test_thm34_exhaustive_summary_does_not_depend_on_the_worker_count():
@@ -417,7 +473,7 @@ def test_thm34_instances_draws_what_the_campaign_draws():
             if matching_number(D) >= 2:
                 count = sum(1 for _ in thm34_instances(n, underlying))
             if n <= 4:
-                task = (n, underlying, [(underlying, tuple(range(n + 1)))], 3)
+                task = (n, underlying, [(underlying, tuple(range(n + 1)))], 3, 0)
                 assert count == _thm34_forest_task(task)["instances"], underlying
             total += count
     assert total == 93_528
@@ -426,4 +482,4 @@ def test_thm34_instances_draws_what_the_campaign_draws():
 def test_thm34_task_rejects_a_cycle():
     with pytest.raises(ValueError, match="forest"):
         cycle = ((1, 2), (1, 4), (2, 3), (3, 4))
-        _thm34_forest_task((4, cycle, [(cycle, (0, 1, 2, 3, 4))], 3))
+        _thm34_forest_task((4, cycle, [(cycle, (0, 1, 2, 3, 4))], 3, 0))

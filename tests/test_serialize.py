@@ -86,8 +86,8 @@ def test_certificate_roundtrip_positive():
     D = seven_vertex_example()
     cert = classify_last_power(D)
     doc = certificate_to_doc(cert)
-    assert doc["verdict"] is True
-    assert doc["trace"]["kind"] == "strong_edge"
+    assert doc["nodes"][0]["verdict"] is True
+    assert doc["nodes"][0]["kind"] == "strong_edge"
     assert certificate_from_doc(json.loads(json.dumps(doc))) == cert
 
 
@@ -95,8 +95,8 @@ def test_certificate_roundtrip_refuted():
     D = WeightedOrientedGraph.build(6, [(1, 3), (3, 2), (3, 4), (4, 5), (4, 6)], {3: 2})
     cert = classify_last_power(D)
     doc = certificate_to_doc(cert)
-    assert doc["trace"]["kind"] == "refuted"
-    assert doc["trace"]["condition"] == "pendant_exponent"
+    assert doc["nodes"][0]["kind"] == "refuted"
+    assert doc["nodes"][0]["condition"] == "pendant_exponent"
     assert certificate_from_doc(doc) == cert
 
 
@@ -107,10 +107,11 @@ def test_star_split_children_keep_their_order():
     cert = classify_last_power(D)
     doc = certificate_to_doc(cert)
     assert certificate_from_doc(json.loads(json.dumps(doc))) == cert
-    trace = doc["trace"]
-    assert trace["kind"] == "star_split"
-    children = [trace["child_without_center"], trace["child_without_center_anchor"]]
-    assert [c["trace"]["kind"] for c in children] == ["star_split", "isolated_edge"]
+    nodes = doc["nodes"]
+    root = nodes[0]
+    assert root["kind"] == "star_split"
+    children = [nodes[root["child_without_center"]], nodes[root["child_without_center_anchor"]]]
+    assert [c["kind"] for c in children] == ["star_split", "isolated_edge"]
     node = cert.trace
     swapped = StarSplitNode(node.config, node.child_without_center_anchor, node.child_without_center)
     assert verify_certificate(D, cert)
@@ -118,10 +119,35 @@ def test_star_split_children_keep_their_order():
 
 
 def test_certificate_doc_errors():
-    with pytest.raises(ValueError):
-        certificate_from_doc({"verdict": True, "trace": {"kind": "banana"}})
-    with pytest.raises(ValueError):
-        certificate_from_doc({"trace": {"kind": "unweighted_base"}})
+    base = {"verdict": True, "kind": "unweighted_base"}
+
+    def edge(child):
+        return {"verdict": True, "kind": "isolated_edge", "edge": [1, 2], "child": child}
+
+    config = {"leaves": [1], "center": 2, "anchor": 3}
+    shared = {"verdict": True, "kind": "star_split", "config": config,
+              "child_without_center": 1, "child_without_center_anchor": 1}
+    cases = [
+        ([{"verdict": True, "kind": "banana"}], "unknown certificate node kind 'banana'"),
+        ([{"kind": "unweighted_base"}], "missing field: 'verdict'"),
+        ([], "has no nodes"),
+        ([{"verdict": True, "kind": "isolated_edge", "edge": [1, 2]}], "missing field: 'child'"),
+        ([edge("1"), base], "child must be an integer"),
+        ([edge(1.0), base], "child must be an integer"),
+        ([edge(True), base], "child must be an integer"),
+        ([edge(2), base], "child of node 0 must index a later node, got 2"),  # out of range
+        ([edge(0), base], "child of node 0 must index a later node, got 0"),  # itself
+        ([edge(2), base, edge(1)], "child of node 2 must index a later node, got 1"),  # backward
+        ([shared, base], "node 1 is the child of two nodes"),
+        ([edge(1), edge(2), base, base], "node 3 is no node's child"),  # unreferenced
+        ([base, base], "node 1 is no node's child"),
+    ]
+    for nodes, message in cases:
+        with pytest.raises(ValueError, match=message):
+            certificate_from_doc({"nodes": nodes})
+    # the earlier nested form is not read
+    with pytest.raises(ValueError, match="^certificate document missing field: 'nodes'$"):
+        certificate_from_doc({"verdict": True, "trace": {"kind": "unweighted_base"}})
 
 
 READERS = {
@@ -216,9 +242,6 @@ def test_readers_take_documents_with_one_wrong_value(sample, data):
 def test_sample_documents_cover_every_node_kind():
     kinds = set()
     for kind, doc in SAMPLE_DOCS:
-        stack = [doc] if kind == "certificate" else []
-        while stack:
-            trace = stack.pop()["trace"]
-            kinds.add(trace["kind"])
-            stack.extend(v for k, v in trace.items() if k.startswith("child"))
+        if kind == "certificate":
+            kinds.update(node["kind"] for node in doc["nodes"])
     assert len(kinds) == 7
